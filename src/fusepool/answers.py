@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -35,19 +36,25 @@ def canonical_answer(text: str | int) -> str:
 
     Numbers lose currency symbols, thousands separators, and trailing
     periods, and compare as exact decimals ("1,200." == "1200"). Everything
-    else is lowercased with collapsed whitespace.
+    else is lowercased with collapsed whitespace and no trailing periods.
+    The form is a fixed point: canonicalizing it again changes nothing.
     """
     if isinstance(text, int):
         return str(text)
-    s = text.strip()
-    stripped = s.rstrip(".").strip()
-    numeric = stripped.translate(str.maketrans("", "", _CURRENCY + ", "))
+    s = " ".join(text.split()).rstrip(". ")
+    numeric = s.translate(str.maketrans("", "", _CURRENCY + ", "))
     if _NUMERIC_RE.match(numeric):
         try:
             return _decimal_str(Decimal(numeric))
         except InvalidOperation:
             pass
-    return " ".join(s.rstrip(".").lower().split())
+    return s.lower()
+
+
+def answer_key(record: EpisodeRecord, answer: str | int):
+    """What two answers to this record compare equal by: the choice index
+    for MCQ, the canonical form otherwise."""
+    return answer if record.task.is_mcq else canonical_answer(answer)
 
 
 def tally(answer: str, model_answers: list[str]) -> int:
@@ -219,6 +226,26 @@ def concat_features(
     return FeatureVector(values=values, model_order=list(model_order), slots=slots)
 
 
+def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:
+    """Raw text of the model's first ok pass whose text is not blank."""
+    for p in record.passes.get(model_id, ()):
+        if p.status == "ok" and p.raw_text.strip():
+            return p.raw_text
+    return None
+
+
+def _first_mode(values: list):
+    """Most frequent value, ties to the first seen; None for no values."""
+    counts: dict = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    best = max(counts.values(), default=0)
+    for v in values:
+        if counts[v] == best:
+            return v
+    return None
+
+
 def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
     """The model's single prediction for this episode.
 
@@ -229,10 +256,7 @@ def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
     """
     task = record.task
     if task.kind == "gq":
-        for p in record.passes.get(model_id, ()):
-            if p.status == "ok" and p.raw_text.strip():
-                return p.raw_text
-        return None
+        return first_usable_text(record, model_id)
     if task.is_mcq:
         votes: list[int] = parsed_choices(record, model_id)
         if not votes:
@@ -242,29 +266,66 @@ def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
             return None
     else:
         votes = parsed_answers(record, model_id)
-        if not votes:
-            return None
-    counts: dict = {}
-    for v in votes:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    for v in votes:  # first-seen tie break
-        if counts[v] == best:
-            return v
-    return None
+    return _first_mode(votes)
 
 
 def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int | None:
     """Most frequent member prediction; ties go to the lowest-index member."""
-    preds = [(m, model_prediction(record, m)) for m in members]
-    preds = [(m, p) for m, p in preds if p is not None]
-    if not preds:
-        return None
-    counts: dict = {}
-    for _, p in preds:
-        counts[p] = counts.get(p, 0) + 1
-    best = max(counts.values())
-    for _, p in preds:  # members are already in ensemble order
-        if counts[p] == best:
-            return p
-    return None
+    preds = [model_prediction(record, m) for m in members]
+    return _first_mode([p for p in preds if p is not None])
+
+
+class VoteTable:
+    """Episodes x models predictions coded as small ints, made once per split;
+    failures, plurality votes and single-model accuracies derive from it.
+
+    Each episode gets its own codebook keyed by ``answer_key``; -1 marks a
+    model with no usable prediction, and a gold answer nobody predicted gets
+    a sentinel code that no prediction can match.
+    """
+
+    def __init__(self, records: Sequence[EpisodeRecord], model_ids: Sequence[str]) -> None:
+        self.model_ids = list(model_ids)
+        self.codes = np.full((len(records), len(self.model_ids)), -1, dtype=np.int64)
+        self.gold = np.full(len(records), -2, dtype=np.int64)
+        for i, rec in enumerate(records):
+            if rec.task.kind == "gq":
+                raise ValueError("validation accuracy is not defined for gq tasks")
+            book: dict = {}
+            for j, model in enumerate(self.model_ids):
+                pred = model_prediction(rec, model)
+                if pred is not None:
+                    self.codes[i, j] = book.setdefault(answer_key(rec, pred), len(book))
+            self.gold[i] = book.get(answer_key(rec, rec.ground_truth), -2)
+        self.n_codes = int(self.codes.max()) + 1 if self.codes.size else 1
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Boolean episodes x models failures: no prediction, or not the gold answer."""
+        return self.codes != self.gold[:, None]
+
+    def plurality_accuracy(self, member_idx: Sequence[int]) -> float:
+        """Plurality vote over the member columns; ties go to the lowest-index
+        member, episodes where every member abstained count as wrong."""
+        codes = self.codes[:, list(member_idx)]
+        n_rows = codes.shape[0]
+        if n_rows == 0:
+            return 0.0
+        counts = np.zeros((n_rows, max(1, self.n_codes)), dtype=np.int64)
+        rows, cols = np.nonzero(codes >= 0)
+        np.add.at(counts, (rows, codes[rows, cols]), 1)
+        top = counts.max(axis=1)
+        chosen = np.full(n_rows, -3, dtype=np.int64)
+        row_idx = np.arange(n_rows)
+        for s in range(codes.shape[1]):
+            vote = codes[:, s]
+            valid = vote >= 0
+            tally = np.zeros(n_rows, dtype=np.int64)
+            tally[valid] = counts[row_idx[valid], vote[valid]]
+            take = valid & (chosen == -3) & (tally == top)
+            chosen[take] = vote[take]
+        return float(np.mean(chosen == self.gold))
+
+    def mask_accuracy(self, mask: int) -> float:
+        """Plurality accuracy of the columns whose bits are set in ``mask``."""
+        return self.plurality_accuracy([j for j in range(len(self.model_ids)) if mask >> j & 1])

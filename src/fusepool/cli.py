@@ -15,8 +15,9 @@ import random
 import sys
 from pathlib import Path
 
-from .corpus import Corpus, SchemaError, SplitSpec, load_corpus, save_corpus, split
-from .diversity import FailureRule, failure_matrix
+from .answers import first_usable_text
+from .corpus import Corpus, SplitSpec, load_corpus, save_corpus, split, task_of
+from .diversity import FailureRule
 from .evaluation import evaluate_records, train_and_score_split
 from .fusion import TrainConfig, load_params, save_params
 from .harvest import (
@@ -27,13 +28,12 @@ from .harvest import (
     select_fraction,
 )
 from .pruning import (
-    CandidateScorer,
     GaConfig,
     brute_force_prune,
+    build_scorer,
     diversity_report,
     ga_prune,
     mask_bitstring,
-    plurality_accuracy_fn,
     write_candidates_csv,
 )
 from .summary_prep import serialize_inputs
@@ -57,6 +57,7 @@ def _add_task_flag(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusepool",
+        allow_abbrev=False,  # --config is read by exact name before parsing
         description="Diversity-optimized LLM sub-ensemble selection and learned fusion.",
     )
     parser.add_argument("--config", help="JSON file of flag defaults")
@@ -134,24 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _task_of(corpus: Corpus, expected: str | None = None):
-    kinds = {rec.task for rec in corpus.records}
-    if len(kinds) != 1:
-        raise ValueError(f"corpus mixes task kinds: {sorted(k.kind for k in kinds)}")
-    task = kinds.pop()
-    if expected is not None and task.kind != expected:
-        raise ValueError(f"corpus holds {task.kind} records, --task asked for {expected}")
-    return task
-
-
 def _load_checked(args) -> Corpus:
     corpus = load_corpus(args.corpus)
-    _task_of(corpus, getattr(args, "task", None))
+    task_of(corpus.records, getattr(args, "task", None))
     return corpus
 
 
 def _split_spec(args) -> SplitSpec:
     return SplitSpec(args.train_frac, args.val_frac, args.test_frac, seed=args.seed)
+
+
+# Flags that fix the split and the features; evaluate must repeat training's.
+_TRAINING_SETTINGS = ("seed", "k_passes", "train_frac", "val_frac", "test_frac")
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -162,11 +157,24 @@ def _require_artifact(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _load_endpoints(path: str) -> list[EndpointConfig]:
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ValueError(f"endpoints file {path} must hold a JSON list of objects")
+    endpoints = []
+    for i, entry in enumerate(entries):
+        try:
+            endpoints.append(EndpointConfig(**entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"endpoints file {path}: entry {i}: {exc}") from exc
+    return endpoints
+
+
 def cmd_harvest(args) -> int:
     corpus = _load_checked(args)
-    with open(args.endpoints, encoding="utf-8") as fh:
-        endpoints = [EndpointConfig(**cfg) for cfg in json.load(fh)]
-    task = _task_of(corpus)
+    endpoints = _load_endpoints(args.endpoints)
+    task = task_of(corpus.records)
     template = None
     if args.template_file:
         text = Path(args.template_file).read_text(encoding="utf-8")
@@ -205,21 +213,12 @@ def _score_records(args, corpus: Corpus):
     return val_part.records if val_part.records else train_part.records
 
 
-def _build_scorer(args, corpus: Corpus, records) -> CandidateScorer:
-    task = _task_of(corpus)
-    failures = failure_matrix(records, corpus.model_ids, FailureRule(tau=args.tau))
-    accuracy_fn = (
-        None if task.kind == "gq" else plurality_accuracy_fn(records, corpus.model_ids)
-    )
-    return CandidateScorer(failures, accuracy_fn, w1=args.w1, w2=args.w2)
-
-
 def cmd_prune(args) -> int:
     corpus = _load_checked(args)
     if len(corpus.model_ids) < 2:
         raise ValueError("pruning needs a pool of at least 2 models")
     records = _score_records(args, corpus)
-    scorer = _build_scorer(args, corpus, records)
+    scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
     n = scorer.n_models
     method = args.method
     if method == "auto":
@@ -261,16 +260,15 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _load_ensemble(out: Path) -> dict:
-    path = _require_artifact(out / "ensemble.json", "prune")
-    with open(path, encoding="utf-8") as fh:
+def _load_artifact(path: Path, produced_by: str) -> dict:
+    with open(_require_artifact(path, produced_by), encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def cmd_train_weighted(args) -> int:
     corpus = _load_checked(args)
     out = Path(args.out)
-    ensemble = _load_ensemble(out)
+    ensemble = _load_artifact(out / "ensemble.json", "prune")
     members = ensemble["members"]
     train_part, val_part, _ = split(corpus, _split_spec(args))
     config = TrainConfig(
@@ -292,8 +290,7 @@ def cmd_train_weighted(args) -> int:
         "n_train": len(train_part.records),
         "n_val": len(val_part.records),
         "val_accuracy": val_report.accuracy,
-        "seed": args.seed,
-        "k_passes": args.k_passes,
+        **{key: getattr(args, key) for key in _TRAINING_SETTINGS},
     }
     with open(out / "train_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -304,8 +301,15 @@ def cmd_train_weighted(args) -> int:
 def cmd_evaluate(args) -> int:
     corpus = _load_checked(args)
     out = Path(args.out)
-    ensemble = _load_ensemble(out)
+    ensemble = _load_artifact(out / "ensemble.json", "prune")
     params = load_params(_require_artifact(out / "fusion_params.json", "train-weighted"))
+    trained = _load_artifact(out / "train_report.json", "train-weighted")
+    for key in _TRAINING_SETTINGS:  # another split would score training episodes
+        if trained.get(key) != getattr(args, key):
+            raise ValueError(
+                f"--{key.replace('_', '-')} {getattr(args, key)} differs from the "
+                f"{trained.get(key)} that train-weighted used; evaluate with its settings"
+            )
     _, _, test_part = split(corpus, _split_spec(args))
     report = evaluate_records(test_part.records, ensemble["members"], params,
                               args.k_passes)
@@ -329,7 +333,7 @@ def cmd_diversity_report(args) -> int:
         records = parts[args.split].records
     if not records:
         raise ValueError(f"the {args.split} split is empty; adjust the fractions")
-    scorer = _build_scorer(args, corpus, records)
+    scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
     failures = scorer.failures
     report = diversity_report(scorer)
     out = Path(args.out)
@@ -364,11 +368,10 @@ def cmd_summarize_prep(args) -> int:
             texts = []
             used = []
             for m in members:
-                for p in rec.passes.get(m, ()):
-                    if p.status == "ok" and p.raw_text.strip():
-                        texts.append(p.raw_text)
-                        used.append(m)
-                        break
+                text = first_usable_text(rec, m)
+                if text is not None:
+                    texts.append(text)
+                    used.append(m)
             if not texts:
                 log.warning("record %s: no usable candidate text; skipped", rec.id)
                 continue
@@ -398,9 +401,11 @@ _COMMANDS = {
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    path = argv[argv.index("--config") + 1]
     with open(path, encoding="utf-8") as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
@@ -418,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (SchemaError, AuthError, FileNotFoundError, ValueError, OSError) as exc:
+    except (AuthError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

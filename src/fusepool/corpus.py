@@ -191,6 +191,19 @@ class SplitSpec:
             raise ValueError("repeats must be >= 1")
 
 
+def task_of(records: list[EpisodeRecord], expected: str | None = None) -> TaskKind:
+    """The one task kind all records share; ValueError if none, mixed or not ``expected``."""
+    kinds = {rec.task for rec in records}
+    if not kinds:
+        raise ValueError("corpus holds no records")
+    if len(kinds) != 1:
+        raise ValueError(f"corpus mixes task kinds: {sorted(k.kind for k in kinds)}")
+    task = kinds.pop()
+    if expected is not None and task.kind != expected:
+        raise ValueError(f"corpus holds {task.kind} records, --task asked for {expected}")
+    return task
+
+
 def _pass_from_json(obj: dict, owner: str) -> RawPass:
     if not isinstance(obj, dict):
         raise SchemaError(f"record {owner}: passes: entry is not an object")

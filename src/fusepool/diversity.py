@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .answers import canonical_answer, model_prediction
+from .answers import answer_key, model_prediction
 from .corpus import EpisodeRecord
 from .metrics import unigram_recall
 
@@ -81,12 +81,9 @@ def failure_vector(
     pred = model_prediction(record, model_id)
     if pred is None:
         return True
-    task = record.task
-    if task.is_mcq:
-        return pred != record.ground_truth
-    if task.kind == "oeq":
-        return canonical_answer(pred) != canonical_answer(record.ground_truth)
-    return unigram_recall(pred, record.ground_truth) < rule.tau
+    if record.task.kind == "gq":
+        return unigram_recall(pred, record.ground_truth) < rule.tau
+    return answer_key(record, pred) != answer_key(record, record.ground_truth)
 
 
 def failure_matrix(

@@ -5,9 +5,9 @@ import logging
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from .answers import canonical_answer, model_prediction, plurality_prediction
-from .corpus import Corpus, EpisodeRecord, SplitSpec, split
-from .diversity import FailureRule, failure_matrix
+from .answers import VoteTable, answer_key
+from .corpus import Corpus, EpisodeRecord, SplitSpec, split, task_of
+from .diversity import FailureRule
 from .fusion import (
     FusionParameters,
     TrainConfig,
@@ -16,7 +16,7 @@ from .fusion import (
     predict,
     train,
 )
-from .pruning import CandidateScorer, brute_force_prune, plurality_accuracy_fn
+from .pruning import brute_force_prune, build_scorer
 
 log = logging.getLogger(__name__)
 
@@ -25,28 +25,18 @@ def answers_equal(record: EpisodeRecord, pred) -> bool:
     """Task equality: choice index match for MCQ, canonical text match otherwise."""
     if pred is None:
         return False
-    if record.task.is_mcq:
-        return pred == record.ground_truth
-    return canonical_answer(pred) == canonical_answer(record.ground_truth)
+    return answer_key(record, pred) == answer_key(record, record.ground_truth)
 
 
-def plurality_accuracy(records: Sequence[EpisodeRecord], members: list[str]) -> float:
-    if not records:
-        return 0.0
-    hits = sum(
-        answers_equal(rec, plurality_prediction(rec, members)) for rec in records
-    )
-    return hits / len(records)
+def plurality_accuracy(table: VoteTable) -> float:
+    """Plurality-vote accuracy of all the table's models; 0.0 without episodes."""
+    return table.plurality_accuracy(range(len(table.model_ids)))
 
 
-def single_model_accuracies(
-    records: Sequence[EpisodeRecord], model_ids: Sequence[str]
-) -> dict[str, float]:
-    out = {}
-    for m in model_ids:
-        hits = sum(answers_equal(rec, model_prediction(rec, m)) for rec in records)
-        out[m] = hits / len(records) if records else 0.0
-    return out
+def single_model_accuracies(table: VoteTable) -> dict[str, float]:
+    """Each model's accuracy on its own (1 - its failure rate); 0.0 without episodes."""
+    hits = (~table.failed).sum(axis=0) / max(1, len(table.gold))
+    return {m: float(h) for m, h in zip(table.model_ids, hits)}
 
 
 @dataclass
@@ -103,24 +93,17 @@ def evaluate_records(
         )
     n = len(records)
     task = records[0].task.kind if records else "mcq"
+    table = VoteTable(records, members)
     return EvalReport(
         task=task,
         members=list(members),
         n_episodes=n,
         accuracy=hits / n if n else 0.0,
         n_abstained=abstained,
-        plurality_accuracy=plurality_accuracy(records, members),
-        single_accuracies=single_model_accuracies(records, members),
+        plurality_accuracy=plurality_accuracy(table),
+        single_accuracies=single_model_accuracies(table),
         predictions=predictions,
     )
-
-
-def _record_choice_count(corpus: Corpus) -> int | None:
-    kinds = {rec.task for rec in corpus.records}
-    if len(kinds) != 1:
-        raise ValueError(f"corpus mixes task kinds: {sorted(k.kind for k in kinds)}")
-    task = kinds.pop()
-    return task.num_choices
 
 
 def train_and_score_split(
@@ -160,7 +143,7 @@ def run_split_protocol(
     of the training part for early stopping (and for pruning when no member
     list is pinned), trains the fusion net, and scores the test part.
     """
-    _record_choice_count(corpus)
+    task_of(corpus.records)
     outer = SplitSpec(train_frac, 0.0, test_frac, seed=seed, repeats=repeats)
     carve = SplitSpec(0.85, 0.15, 0.0, seed=seed)
     accuracies = []
@@ -168,13 +151,7 @@ def run_split_protocol(
         train_all, _, test_part = split(corpus, outer, repeat=repeat)
         train_part, val_part, _ = split(train_all, carve, repeat=repeat)
         if members is None:
-            failures = failure_matrix(val_part.records, corpus.model_ids, rule)
-            scorer = CandidateScorer(
-                failures,
-                plurality_accuracy_fn(val_part.records, corpus.model_ids),
-                w1=w1,
-                w2=w2,
-            )
+            scorer = build_scorer(corpus, val_part.records, w1, w2, rule)
             picked = brute_force_prune(scorer, k=1)[0].members(corpus.model_ids)
         else:
             picked = members

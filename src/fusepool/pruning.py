@@ -14,11 +14,9 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
 
-import numpy as np
-
-from .answers import canonical_answer, model_prediction
-from .corpus import EpisodeRecord
-from .diversity import FailureMatrix, focal_diversity
+from .answers import VoteTable
+from .corpus import Corpus, EpisodeRecord, task_of
+from .diversity import FailureMatrix, FailureRule, failure_matrix, focal_diversity
 from .metrics import pearson
 
 BRUTE_FORCE_MAX_POOL = 22
@@ -84,76 +82,6 @@ def _rank_key(c: EnsembleCandidate) -> tuple:
     return (-c.fitness, c.size, c.mask)
 
 
-class VoteTable:
-    """Per-model predictions coded as small ints for fast plurality accuracy.
-
-    Each episode gets its own answer codebook; a code of -1 marks a model
-    with no usable prediction, and a gold answer nobody voted for gets a
-    sentinel code that no vote can match.
-    """
-
-    def __init__(self, records: Sequence[EpisodeRecord], model_ids: Sequence[str]) -> None:
-        n = len(model_ids)
-        self.codes = np.full((len(records), n), -1, dtype=np.int64)
-        self.gold = np.full(len(records), -2, dtype=np.int64)
-        for i, rec in enumerate(records):
-            if rec.task.kind == "gq":
-                raise ValueError("validation accuracy is not defined for gq tasks")
-            book: dict = {}
-            for j, model in enumerate(model_ids):
-                pred = model_prediction(rec, model)
-                if pred is None:
-                    continue
-                key = pred if rec.task.is_mcq else canonical_answer(pred)
-                self.codes[i, j] = book.setdefault(key, len(book))
-            gold_key = (
-                rec.ground_truth
-                if rec.task.is_mcq
-                else canonical_answer(rec.ground_truth)
-            )
-            if gold_key in book:
-                self.gold[i] = book[gold_key]
-        self.n_codes = int(self.codes.max()) + 1 if len(records) else 1
-
-    def plurality_accuracy(self, member_idx: Sequence[int]) -> float:
-        """Plurality vote over the member columns; ties go to the lowest-index
-        member, episodes where every member abstained count as wrong."""
-        codes = self.codes[:, list(member_idx)]
-        n_rows = codes.shape[0]
-        if n_rows == 0:
-            return 0.0
-        counts = np.zeros((n_rows, max(1, self.n_codes)), dtype=np.int64)
-        rows, cols = np.nonzero(codes >= 0)
-        np.add.at(counts, (rows, codes[rows, cols]), 1)
-        top = counts.max(axis=1)
-        chosen = np.full(n_rows, -3, dtype=np.int64)
-        row_idx = np.arange(n_rows)
-        for s in range(codes.shape[1]):
-            vote = codes[:, s]
-            valid = vote >= 0
-            tally = np.zeros(n_rows, dtype=np.int64)
-            tally[valid] = counts[row_idx[valid], vote[valid]]
-            take = valid & (chosen == -3) & (tally == top)
-            chosen[take] = vote[take]
-        return float(np.mean(chosen == self.gold))
-
-
-def candidate_val_accuracy(
-    mask: int, records: Sequence[EpisodeRecord], model_ids: Sequence[str]
-) -> float:
-    """Plurality-vote accuracy of the masked team on the given episodes.
-
-    Votes are the members' single predictions; ties go to the lowest-index
-    member. Not defined for generative tasks.
-    """
-    if not records:
-        return 0.0
-    table = VoteTable(records, model_ids)
-    return table.plurality_accuracy(
-        [i for i in range(len(model_ids)) if mask >> i & 1]
-    )
-
-
 class CandidateScorer:
     """Memoized candidate scoring shared by both search strategies.
 
@@ -211,13 +139,27 @@ def plurality_accuracy_fn(
     records: Sequence[EpisodeRecord], model_ids: Sequence[str]
 ) -> Callable[[int], float]:
     """Mask-to-accuracy closure over a vote table built once."""
-    table = VoteTable(records, model_ids)
-    n = len(model_ids)
+    return VoteTable(records, model_ids).mask_accuracy
 
-    def accuracy(mask: int) -> float:
-        return table.plurality_accuracy([i for i in range(n) if mask >> i & 1])
 
-    return accuracy
+def build_scorer(
+    corpus: Corpus,
+    records: Sequence[EpisodeRecord],
+    w1: float = 0.6,
+    w2: float = 0.4,
+    rule: FailureRule = FailureRule(),
+) -> CandidateScorer:
+    """Scorer for the corpus's pool on ``records``, episodes of ``corpus``.
+
+    For MCQ and OEQ one vote table supplies both the failure rows and the
+    plurality accuracy. GQ failures follow the unigram-recall rule and have
+    no accuracy, so fitness is the diversity alone.
+    """
+    if task_of(corpus.records).kind == "gq":
+        return CandidateScorer(failure_matrix(records, corpus.model_ids, rule), None, w1, w2)
+    table = VoteTable(records, corpus.model_ids)
+    failures = FailureMatrix(table.failed, [rec.id for rec in records], table.model_ids)
+    return CandidateScorer(failures, table.mask_accuracy, w1, w2)
 
 
 def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandidate]:

@@ -32,10 +32,12 @@ class TestCanonical:
         assert canonical_answer("42.0") == "42"
         assert canonical_answer("0.50") == "0.5"
         assert canonical_answer(7) == "7"
+        assert canonical_answer("1\t200") == "1200"
 
     def test_text_normalization(self):
         assert canonical_answer("  Solitaire. ") == "solitaire"
         assert canonical_answer("two  words") == "two words"
+        assert canonical_answer("Twelve . .") == "twelve"
 
     def test_distinct_numbers_stay_distinct(self):
         assert canonical_answer("12") != canonical_answer("1200")

@@ -113,6 +113,43 @@ class TestErrors:
         assert run("prune", "--corpus", bad, "--out", tmp_path / "o") == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_empty_corpus_reported(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert run("prune", "--corpus", empty, "--out", tmp_path / "o") == 2
+        assert "no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, named", [
+        ([{"base_url": "http://localhost:9", "model_name": "a"},
+          {"base_url": "http://localhost:9", "model_name": "b", "colour": "red"}], "entry 1"),
+        ([{"base_url": "http://localhost:9"}], "entry 0"),
+        ([{"base_url": "", "model_name": "a"}], "entry 0"),
+        ([["http://localhost:9", "a"]], "entry 0"),
+        ({"base_url": "http://localhost:9", "model_name": "a"}, "JSON list"),
+    ])
+    def test_bad_endpoints_file_names_the_entry(self, tmp_path, pool_corpus, capsys,
+                                                entries, named):
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps(entries))
+        assert run("harvest", "--corpus", pool_corpus, "--endpoints", endpoints,
+                   "--out-corpus", tmp_path / "h.jsonl") == 2
+        assert named in capsys.readouterr().err
+
+    def test_evaluate_refuses_a_split_other_than_training(self, tmp_path, pool_corpus, capsys):
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", pool_corpus, "--out", out, "--seed", "3") == 0
+        assert run("train-weighted", "--corpus", pool_corpus, "--out", out,
+                   "--epochs", "5", "--seed", "3") == 0
+        capsys.readouterr()
+        for flags, named in [(["--seed", "4"], "--seed"),
+                             (["--seed", "3", "--k-passes", "2"], "--k-passes"),
+                             (["--seed", "3", "--val-frac", "0.1", "--test-frac", "0.2"],
+                              "--val-frac")]:
+            assert run("evaluate", "--corpus", pool_corpus, "--out", out, *flags) == 2
+            assert named in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert run("evaluate", "--corpus", pool_corpus, "--out", out, "--seed", "3") == 0
+
     def test_unknown_flag_exits_nonzero(self, pool_corpus):
         with pytest.raises(SystemExit) as err:
             run("prune", "--corpus", pool_corpus, "--frobnicate")
@@ -128,6 +165,23 @@ class TestConfigFile:
                    "--out", out, "--seed", "1") == 0
         ensemble = json.loads((out / "ensemble.json").read_text())
         assert ensemble["seed"] == 1  # flag wins over config
+
+    @pytest.mark.parametrize("equals_form", [False, True])
+    def test_config_weights_apply_in_both_forms(self, tmp_path, pool_corpus, equals_form):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1}))
+        flag = [f"--config={config}"] if equals_form else ["--config", config]
+        out = tmp_path / "cfg"
+        assert run(*flag, "prune", "--corpus", pool_corpus, "--out", out) == 0
+        ensemble = json.loads((out / "ensemble.json").read_text())
+        assert ensemble["fitness"] == pytest.approx(
+            0.9 * ensemble["focal_diversity"] + 0.1 * ensemble["val_accuracy"])
+
+    @pytest.mark.parametrize("argv", [["--config"], ["prune", "--out", "o", "--config"]])
+    def test_config_without_path_exits_2(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
 
     def test_bad_config_rejected(self, tmp_path, pool_corpus, capsys):
         config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from fusepool.answers import VoteTable
 from fusepool.corpus import SplitSpec, split
 from fusepool.evaluation import (
     answers_equal,
@@ -36,7 +37,7 @@ class TestBaselines:
             mcq_record("r0", gold=0, passes={"a": [ok_pass(0)], "b": [ok_pass(1)]}),
             mcq_record("r1", gold=1, passes={"a": [ok_pass(0)], "b": [ok_pass(1)]}),
         ]
-        accs = single_model_accuracies(records, ["a", "b"])
+        accs = single_model_accuracies(VoteTable(records, ["a", "b"]))
         assert accs == {"a": 0.5, "b": 0.5}
 
     def test_plurality_accuracy(self):
@@ -49,7 +50,7 @@ class TestBaselines:
             }),
         ]
         # r0: majority 1, correct; r1: tie -> a's 0, wrong
-        assert plurality_accuracy(records, ["a", "b", "c"]) == pytest.approx(0.5)
+        assert plurality_accuracy(VoteTable(records, ["a", "b", "c"])) == pytest.approx(0.5)
 
 
 class TestEvaluateRecords:

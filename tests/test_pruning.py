@@ -9,7 +9,6 @@ from fusepool.pruning import (
     VoteTable,
     brute_force_prune,
     candidate_count,
-    candidate_val_accuracy,
     diversity_report,
     enumerate_candidates,
     fitness,
@@ -85,11 +84,11 @@ class TestCandidateValAccuracy:
 
     def test_unanimous(self):
         records = self.make_records([(1, 1, 1)] * 5, [1] * 5)
-        assert candidate_val_accuracy(0b111, records, ["m0", "m1", "m2"]) == 1.0
+        assert VoteTable(records, ["m0", "m1", "m2"]).plurality_accuracy([0, 1, 2]) == 1.0
 
     def test_outvoted(self):
         records = self.make_records([(1, 2, 2)] * 5, [1] * 5)
-        assert candidate_val_accuracy(0b111, records, ["m0", "m1", "m2"]) == 0.0
+        assert VoteTable(records, ["m0", "m1", "m2"]).plurality_accuracy([0, 1, 2]) == 0.0
 
     def test_hand_counted_mixed_votes(self):
         # 10 episodes, hand-counted plurality with lowest-index tie break:
@@ -107,7 +106,7 @@ class TestCandidateValAccuracy:
         ]
         golds = [0, 2, 1, 3, 2, 1, 1, 0, 3, 0]
         records = self.make_records(votes, golds)
-        assert candidate_val_accuracy(0b111, records, ["m0", "m1", "m2"]) == pytest.approx(0.6)
+        assert VoteTable(records, ["m0", "m1", "m2"]).plurality_accuracy([0, 1, 2]) == pytest.approx(0.6)
 
     def test_vote_table_matches_slow_plurality(self):
         from fusepool.answers import plurality_prediction
