@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -275,6 +275,29 @@ def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int
     return _first_mode([p for p in preds if p is not None])
 
 
+# Working-set bound for one block of masks in the batched scoring paths: the
+# per-block arrays stay within it whatever the mask count, so peak memory does
+# not grow with the number of candidates.
+BLOCK_BYTES = 1 << 20
+
+
+def member_blocks(
+    masks: Sequence[int], n_models: int, bytes_per_mask: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, 0/1 float masks x models member matrix) for consecutive blocks
+    of ``masks``, bit j of a mask marking column j. A block holds as many
+    masks as keep ``bytes_per_mask`` each within ``BLOCK_BYTES``."""
+    size = max(1, BLOCK_BYTES // bytes_per_mask)
+    n_bytes = (n_models + 7) // 8
+    for start in range(0, len(masks), size):
+        block = masks[start : start + size]
+        packed = np.frombuffer(
+            b"".join(int(m).to_bytes(n_bytes, "little") for m in block), dtype=np.uint8
+        ).reshape(len(block), n_bytes)
+        bits = np.unpackbits(packed, axis=1, count=n_models, bitorder="little")
+        yield start, bits.astype(np.float64)
+
+
 class VoteTable:
     """Episodes x models predictions coded as small ints, made once per split;
     failures, plurality votes and single-model accuracies derive from it.
@@ -298,34 +321,76 @@ class VoteTable:
                     self.codes[i, j] = book.setdefault(answer_key(rec, pred), len(book))
             self.gold[i] = book.get(answer_key(rec, rec.ground_truth), -2)
         self.n_codes = int(self.codes.max()) + 1 if self.codes.size else 1
+        # Plurality votes depend only on an episode's (codes, gold) row, so the
+        # batched path scores each distinct row once, weighted by its count.
+        rows, self._row_counts = np.unique(
+            np.column_stack([self.codes, self.gold]), axis=0, return_counts=True
+        )
+        self._row_codes, self._row_gold = rows[:, :-1], rows[:, -1]
 
     @property
     def failed(self) -> np.ndarray:
         """Boolean episodes x models failures: no prediction, or not the gold answer."""
         return self.codes != self.gold[:, None]
 
-    def plurality_accuracy(self, member_idx: Sequence[int]) -> float:
+    def plurality_accuracy(self, member_idx: Iterable[int]) -> float:
         """Plurality vote over the member columns; ties go to the lowest-index
         member, episodes where every member abstained count as wrong."""
-        codes = self.codes[:, list(member_idx)]
-        n_rows = codes.shape[0]
-        if n_rows == 0:
-            return 0.0
-        counts = np.zeros((n_rows, max(1, self.n_codes)), dtype=np.int64)
-        rows, cols = np.nonzero(codes >= 0)
-        np.add.at(counts, (rows, codes[rows, cols]), 1)
-        top = counts.max(axis=1)
-        chosen = np.full(n_rows, -3, dtype=np.int64)
-        row_idx = np.arange(n_rows)
-        for s in range(codes.shape[1]):
-            vote = codes[:, s]
-            valid = vote >= 0
-            tally = np.zeros(n_rows, dtype=np.int64)
-            tally[valid] = counts[row_idx[valid], vote[valid]]
-            take = valid & (chosen == -3) & (tally == top)
-            chosen[take] = vote[take]
-        return float(np.mean(chosen == self.gold))
+        mask = 0
+        for j in member_idx:
+            mask |= 1 << j
+        return float(self.mask_accuracies([mask])[0])
 
-    def mask_accuracy(self, mask: int) -> float:
-        """Plurality accuracy of the columns whose bits are set in ``mask``."""
-        return self.plurality_accuracy([j for j in range(len(self.model_ids)) if mask >> j & 1])
+    def mask_accuracies(self, masks: Sequence[int]) -> np.ndarray:
+        """Plurality accuracy of each mask's member columns (bit j = column j),
+        with ``plurality_accuracy``'s tie-break; all zeros without episodes."""
+        out = np.zeros(len(masks))
+        if len(self.gold) == 0:
+            return out
+        n = len(self.model_ids)
+        codes = self._row_codes
+        # 0/1 rows x models matrices: who voted each answer code, who voted gold.
+        votes = (codes == np.arange(self.n_codes)[:, None, None]).astype(np.float64)
+        gold = (codes == self._row_gold[:, None]).astype(np.float64)
+        # Vote weights 2^N + 2^(N-1-j) stay exact integers in float64 while
+        # every sum of them, below (N + 1) * 2^N, is at most 2^53.
+        hits = self._weighted_hits if (n + 1) << n <= 1 << 53 else self._first_voter_hits
+        # A block holds four float64 (rows x masks) arrays at a time.
+        for start, members in member_blocks(masks, n, 8 * 4 * len(codes)):
+            out[start : start + len(members)] = hits(votes, gold, members.T)
+        return out / len(self.gold)
+
+    def _weighted_hits(self, votes: np.ndarray, gold: np.ndarray, members: np.ndarray):
+        """Episodes won by the gold answer for each column of the models x
+        masks 0/1 matrix ``members``.
+
+        Member j's vote weighs 2^N + 2^(N-1-j), so an answer's score orders
+        answers by vote count first and then by their lowest-index voter; the
+        top score is the plurality pick, and 0 means every member abstained.
+        """
+        n = len(self.model_ids)
+        weights = np.ldexp(1.0, n) + np.ldexp(1.0, np.arange(n - 1, -1, -1))
+        weighted = members * weights[:, None]
+        gold_score = gold @ weighted
+        best = np.zeros_like(gold_score)
+        for code_votes in votes:
+            np.maximum(best, code_votes @ weighted, out=best)
+        return self._row_counts @ ((gold_score > 0) & (gold_score == best))
+
+    def _first_voter_hits(self, votes: np.ndarray, gold: np.ndarray, members: np.ndarray):
+        """``_weighted_hits`` from unit vote counts, for pools too large for
+        exact weights: the pick is the first member, in column order, whose
+        answer has the top count."""
+        codes = self._row_codes
+        top = np.zeros((len(codes), members.shape[1]))
+        for code_votes in votes:
+            np.maximum(top, code_votes @ members, out=top)
+        undecided = np.ones(top.shape, dtype=bool)
+        won = np.zeros(top.shape, dtype=bool)
+        for j in range(codes.shape[1]):
+            voted = codes[:, [j]] >= 0
+            tally = ((codes == codes[:, [j]]) & voted) @ members
+            take = undecided & voted & (members[j] > 0) & (tally == top)
+            won |= take & (gold[:, [j]] > 0)
+            undecided &= ~take
+        return self._row_counts @ won

@@ -210,7 +210,10 @@ def _score_records(args, corpus: Corpus):
     """Records the pruning signals are computed on: the val split, falling
     back to the train split when no validation fraction was requested."""
     train_part, val_part, _ = split(corpus, _split_spec(args))
-    return val_part.records if val_part.records else train_part.records
+    records = val_part.records or train_part.records
+    if not records:
+        raise ValueError("the val and train splits are both empty; adjust the fractions")
+    return records
 
 
 def cmd_prune(args) -> int:
@@ -312,7 +315,7 @@ def cmd_evaluate(args) -> int:
             )
     _, _, test_part = split(corpus, _split_spec(args))
     report = evaluate_records(test_part.records, ensemble["members"], params,
-                              args.k_passes)
+                              args.k_passes, task_of(corpus.records).kind)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for row in report.predictions:
             fh.write(json.dumps(row, ensure_ascii=False))

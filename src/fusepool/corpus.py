@@ -54,6 +54,9 @@ class TaskKind:
     def is_mcq(self) -> bool:
         return self.kind == "mcq"
 
+    def __str__(self) -> str:
+        return f"mcq with {self.num_choices} choices" if self.is_mcq else self.kind
+
 
 @dataclass
 class RawPass:
@@ -197,7 +200,7 @@ def task_of(records: list[EpisodeRecord], expected: str | None = None) -> TaskKi
     if not kinds:
         raise ValueError("corpus holds no records")
     if len(kinds) != 1:
-        raise ValueError(f"corpus mixes task kinds: {sorted(k.kind for k in kinds)}")
+        raise ValueError(f"corpus mixes tasks: {', '.join(sorted(map(str, kinds)))}")
     task = kinds.pop()
     if expected is not None and task.kind != expected:
         raise ValueError(f"corpus holds {task.kind} records, --task asked for {expected}")

@@ -12,6 +12,16 @@ members fail together,
 Fully correlated errors give rho = 0; a focal model that only fails alone
 gives rho = 1. The focal diversity of an ensemble is the mean of rho over
 its members as focal.
+
+Both sums are co-failure counts. With C_ik the episodes where models i and k
+both fail and T_ikl those where i, k and l all fail, focal model i in team S
+has A_i = sum_{k in S} C_ik = support * S * P(1) and
+B_i = sum_{k,l in S} T_ikl = support * (S(S-1) P(2) + S P(1)), so
+
+    rho_i = 1 - (B_i - A_i) / ((S - 1) A_i) = (S A_i - B_i) / ((S - 1) A_i),
+
+which ``CoFailureCounts`` evaluates for whole blocks of teams at once, as one
+division of exact integer counts per member.
 """
 from __future__ import annotations
 
@@ -21,7 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .answers import answer_key, model_prediction
+from .answers import answer_key, member_blocks, model_prediction
 from .corpus import EpisodeRecord
 from .metrics import unigram_recall
 
@@ -143,3 +153,39 @@ def focal_diversity(failures: FailureMatrix, members: Sequence[str]) -> float:
         raise ValueError("ensemble needs at least 2 members")
     scores = [focal_negative_correlation(failures, members, m).rho for m in members]
     return float(sum(scores) / len(scores))
+
+
+@dataclass(frozen=True)
+class CoFailureCounts:
+    """Pair and triple co-failure counts of a failure matrix. Every team's
+    focal diversity follows from them exactly, so scoring a team costs the
+    same whatever the episode count."""
+
+    pairs: np.ndarray  # pairs[i, k]: episodes where models i and k both fail
+    triples: np.ndarray  # triples[i, k, l]: episodes where i, k and l all fail
+
+    @classmethod
+    def of(cls, failures: FailureMatrix) -> "CoFailureCounts":
+        f = failures.rows.astype(np.float64)
+        # One focal model at a time: a single einsum would build an
+        # episodes x N^3 temporary.
+        triples = np.stack([f.T @ (f * f[:, [i]]) for i in range(f.shape[1])])
+        return cls(pairs=f.T @ f, triples=triples)
+
+    def focal_diversities(self, masks: Sequence[int]) -> np.ndarray:
+        """``focal_diversity`` of each team mask (bit i = model i, at least
+        two bits set)."""
+        n = len(self.pairs)
+        out = np.empty(len(masks))
+        # A block holds about six float64 (masks x models) arrays at a time.
+        for start, m in member_blocks(masks, n, 8 * 6 * n):
+            size = m.sum(axis=1, keepdims=True)
+            a = m @ self.pairs
+            b = np.stack([((m @ self.triples[i]) * m).sum(axis=1) for i in range(n)], axis=1)
+            # Exact counts keep rho in [0, 1] with no clamp: A <= B <= S * A.
+            rho = np.divide(size * a - b, (size - 1) * a, out=np.ones_like(a), where=a > 0) * m
+            total = np.zeros(len(m))
+            for i in range(n):  # member order, as focal_diversity sums
+                total += rho[:, i]
+            out[start : start + len(m)] = total / size[:, 0]
+        return out

@@ -68,8 +68,12 @@ def evaluate_records(
     members: list[str],
     params: FusionParameters,
     k: int,
+    task: str,
 ) -> EvalReport:
     """Score the fusion model on episodes; abstentions count as wrong.
+
+    ``task`` is the corpus's task kind (``task_of``), which the report names
+    even when ``records`` is empty.
 
     Episodes whose gold answer fell outside the shared solution set score as
     errors automatically: the combiner could not have produced them.
@@ -92,7 +96,6 @@ def evaluate_records(
             }
         )
     n = len(records)
-    task = records[0].task.kind if records else "mcq"
     table = VoteTable(records, members)
     return EvalReport(
         task=task,
@@ -116,12 +119,12 @@ def train_and_score_split(
     hidden: Sequence[int] = (100, 100),
 ) -> tuple[FusionParameters, EvalReport]:
     """Train the combiner on one split and evaluate on its test part."""
-    task = train_corpus.records[0].task
+    task = task_of(train_corpus.records)
     dims = fusion_dims(task.kind, len(members), k, m=task.num_choices, hidden=hidden)
     train_data, _ = build_training_data(train_corpus.records, members, k)
     val_data, _ = build_training_data(val_corpus.records, members, k)
     params = train(train_data, val_data, dims, config)
-    return params, evaluate_records(test_corpus.records, members, params, k)
+    return params, evaluate_records(test_corpus.records, members, params, k, task.kind)
 
 
 def run_split_protocol(

@@ -3,9 +3,11 @@
 Candidates are bitmasks over the model pool (bit i set = model i included,
 size >= 2). Each is scored by a convex combination of focal diversity and
 plurality-vote validation accuracy; generative tasks have no validation
-accuracy and score on diversity alone. The exact search enumerates every
-mask; the genetic search evolves bitmask chromosomes with elitist selection,
-uniform crossover, and per-bit mutation, memoizing fitness per mask.
+accuracy and score on diversity alone. Masks are scored in blocks: diversity
+from the pool's co-failure counts, accuracy from vote matmuls over the
+prediction table. The exact search enumerates every mask; the genetic search
+evolves bitmask chromosomes with elitist selection, uniform crossover, and
+per-bit mutation, scoring each generation at once and memoizing per mask.
 """
 from __future__ import annotations
 
@@ -14,9 +16,11 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .answers import VoteTable
 from .corpus import Corpus, EpisodeRecord, task_of
-from .diversity import FailureMatrix, FailureRule, failure_matrix, focal_diversity
+from .diversity import CoFailureCounts, FailureMatrix, FailureRule, failure_matrix
 from .metrics import pearson
 
 BRUTE_FORCE_MAX_POOL = 22
@@ -85,14 +89,15 @@ def _rank_key(c: EnsembleCandidate) -> tuple:
 class CandidateScorer:
     """Memoized candidate scoring shared by both search strategies.
 
-    ``accuracy_fn`` maps a mask to plurality validation accuracy; pass None
-    for generative tasks, where fitness is the focal diversity alone.
+    ``accuracy_fn`` maps a sequence of masks to their plurality validation
+    accuracies; pass None for generative tasks, where fitness is the focal
+    diversity alone.
     """
 
     def __init__(
         self,
         failures: FailureMatrix,
-        accuracy_fn: Callable[[int], float] | None = None,
+        accuracy_fn: Callable[[Sequence[int]], np.ndarray] | None = None,
         w1: float = 0.6,
         w2: float = 0.4,
     ) -> None:
@@ -101,6 +106,7 @@ class CandidateScorer:
         self.accuracy_fn = accuracy_fn
         self.w1 = w1
         self.w2 = w2
+        self._counts = CoFailureCounts.of(failures)
         self._memo: dict[int, EnsembleCandidate] = {}
 
     @property
@@ -113,23 +119,30 @@ class CandidateScorer:
         return len(self._memo)
 
     def score(self, mask: int) -> EnsembleCandidate:
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        members = mask_members(mask, self.failures.model_ids)
-        if len(members) < 2:
-            raise ValueError(f"mask {mask:#x} has fewer than 2 members")
-        lam = focal_diversity(self.failures, members)
-        acc = self.accuracy_fn(mask) if self.accuracy_fn is not None else None
-        cand = EnsembleCandidate(
-            mask=mask,
-            size=len(members),
-            focal_diversity=lam,
-            val_accuracy=acc,
-            fitness=fitness(lam, acc, self.w1, self.w2),
-        )
-        self._memo[mask] = cand
-        return cand
+        return self.score_masks([mask])[0]
+
+    def score_masks(self, masks: Sequence[int]) -> list[EnsembleCandidate]:
+        """Candidates for ``masks`` in order; the masks not yet memoized are
+        scored together in one batch."""
+        new = [m for m in dict.fromkeys(masks) if m not in self._memo]
+        for mask in new:
+            if not 0 <= mask < 1 << self.n_models or mask.bit_count() < 2:
+                raise ValueError(f"mask {mask:#x} is not a team of at least 2 pool models")
+        if new:
+            lams = self._counts.focal_diversities(new).tolist()
+            if self.accuracy_fn is None:
+                accs = [None] * len(new)
+            else:
+                accs = np.asarray(self.accuracy_fn(new), dtype=np.float64).tolist()
+            for mask, lam, acc in zip(new, lams, accs):
+                self._memo[mask] = EnsembleCandidate(
+                    mask=mask,
+                    size=mask.bit_count(),
+                    focal_diversity=lam,
+                    val_accuracy=acc,
+                    fitness=fitness(lam, acc, self.w1, self.w2),
+                )
+        return [self._memo[m] for m in masks]
 
     def scored(self) -> list[EnsembleCandidate]:
         return sorted(self._memo.values(), key=_rank_key)
@@ -137,9 +150,9 @@ class CandidateScorer:
 
 def plurality_accuracy_fn(
     records: Sequence[EpisodeRecord], model_ids: Sequence[str]
-) -> Callable[[int], float]:
-    """Mask-to-accuracy closure over a vote table built once."""
-    return VoteTable(records, model_ids).mask_accuracy
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """Masks-to-accuracies function over a vote table built once."""
+    return VoteTable(records, model_ids).mask_accuracies
 
 
 def build_scorer(
@@ -159,7 +172,7 @@ def build_scorer(
         return CandidateScorer(failure_matrix(records, corpus.model_ids, rule), None, w1, w2)
     table = VoteTable(records, corpus.model_ids)
     failures = FailureMatrix(table.failed, [rec.id for rec in records], table.model_ids)
-    return CandidateScorer(failures, table.mask_accuracy, w1, w2)
+    return CandidateScorer(failures, table.mask_accuracies, w1, w2)
 
 
 def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandidate]:
@@ -170,9 +183,7 @@ def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandi
             f"pool of {n} models means {candidate_count(n)} candidates; "
             "use ga_prune for pools this large"
         )
-    ranked = sorted(
-        (scorer.score(mask) for mask in enumerate_candidates(n)), key=_rank_key
-    )
+    ranked = sorted(scorer.score_masks(list(enumerate_candidates(n))), key=_rank_key)
     return ranked[:k]
 
 
@@ -245,7 +256,7 @@ def ga_prune(scorer: CandidateScorer, config: GaConfig, k: int = 1) -> GaResult:
     plateau_terminated = False
 
     for generations in range(1, config.max_gens + 1):
-        scored = [scorer.score(m) for m in population]
+        scored = scorer.score_masks(population)
         visited.update((c.mask, c) for c in scored)
         ranked = sorted(scored, key=_rank_key)
         gen_best = ranked[0]

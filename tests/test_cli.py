@@ -119,6 +119,14 @@ class TestErrors:
         assert run("prune", "--corpus", empty, "--out", tmp_path / "o") == 2
         assert "no records" in capsys.readouterr().err
 
+    def test_prune_without_scoring_episodes_exits_2(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.jsonl"
+        save_corpus(correlated_pool(3, 3, n_clones=2, seed=0), tiny)
+        assert run("prune", "--corpus", tiny, "--out", tmp_path / "o", "--train-frac", "0.1",
+                   "--val-frac", "0.0", "--test-frac", "0.9") == 2
+        assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "candidates.csv").exists()
+
     @pytest.mark.parametrize("entries, named", [
         ([{"base_url": "http://localhost:9", "model_name": "a"},
           {"base_url": "http://localhost:9", "model_name": "b", "colour": "red"}], "entry 1"),
@@ -149,6 +157,18 @@ class TestErrors:
             assert named in capsys.readouterr().err
         assert not (out / "report.json").exists()
         assert run("evaluate", "--corpus", pool_corpus, "--out", out, "--seed", "3") == 0
+
+    def test_evaluate_on_an_empty_test_split_reports_the_corpus_task(self, tmp_path):
+        corpus = tmp_path / "oeq.jsonl"
+        save_corpus(oeq_pool(3, 40, seed=0), corpus)
+        out = tmp_path / "run"
+        common = ["--corpus", corpus, "--out", out,
+                  "--train-frac", "0.85", "--val-frac", "0.15", "--test-frac", "0.0"]
+        assert run("prune", *common) == 0
+        assert run("train-weighted", *common, "--k-passes", "5", "--epochs", "3") == 0
+        assert run("evaluate", *common, "--k-passes", "5") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["task"] == "oeq" and report["n_episodes"] == 0
 
     def test_unknown_flag_exits_nonzero(self, pool_corpus):
         with pytest.raises(SystemExit) as err:

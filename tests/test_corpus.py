@@ -13,6 +13,7 @@ from fusepool.corpus import (
     load_corpus,
     save_corpus,
     split,
+    task_of,
 )
 
 
@@ -224,6 +225,14 @@ class TestSplit:
             SplitSpec(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             SplitSpec(1.2, -0.1, -0.1)
+
+    def test_task_of_names_what_differs(self):
+        five = EpisodeRecord(id="r5", task=TaskKind.mcq(5), prompt="q", ground_truth=0,
+                             choices=["a", "b", "c", "d", "e"])
+        with pytest.raises(ValueError, match="mcq with 4 choices, mcq with 5 choices"):
+            task_of([mcq_record("r4"), five])
+        with pytest.raises(ValueError, match="mcq with 4 choices, oeq"):
+            task_of([oeq_record("o"), mcq_record("r4")])
 
     def test_empty_corpus_refused(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestEvaluateRecords:
             oeq_record("r1", gold="9", passes={"a": [], "b": []}),
         ]
         params = init_params((4, 2), seed=0)
-        report = evaluate_records(records, ["a", "b"], params, k=2)
+        report = evaluate_records(records, ["a", "b"], params, k=2, task="oeq")
         assert report.n_episodes == 2
         assert report.n_abstained == 1
         rows = {r["id"]: r for r in report.predictions}

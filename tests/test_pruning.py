@@ -135,7 +135,7 @@ class TestBruteForce:
         failures = random_failures(8, seed=1)
         rng = np.random.default_rng(2)
         accs = {mask: float(rng.random()) for mask in enumerate_candidates(8)}
-        scorer = CandidateScorer(failures, accs.get)
+        scorer = CandidateScorer(failures, lambda masks: [accs[m] for m in masks])
         top = brute_force_prune(scorer, k=5)
         # Oracle: score everything independently and re-sort.
         from fusepool.diversity import focal_diversity
