@@ -2,11 +2,9 @@
 
 from .answers import (
     ChoiceDistribution,
-    FeatureVector,
     SolutionSet,
     build_final_solution_set,
     canonical_answer,
-    concat_features,
     model_distribution,
     tally,
 )

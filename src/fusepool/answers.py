@@ -15,7 +15,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .corpus import EpisodeRecord
+from .corpus import PROB_SUM_TOL, EpisodeRecord
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +117,7 @@ class ChoiceDistribution:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.probs):
             raise ValueError(f"{self.model_id}: negative probability")
-        if sum(self.probs) > 1.0 + 1e-9:
+        if sum(self.probs) > 1.0 + PROB_SUM_TOL:
             raise ValueError(f"{self.model_id}: probabilities sum past 1")
 
 
@@ -155,7 +155,7 @@ def parsed_choices(record: EpisodeRecord, model_id: str) -> list[int]:
 
 
 def assemble_mcq_distributions(
-    record: EpisodeRecord, members: list[str], k: int | None = None
+    record: EpisodeRecord, members: list[str], k: int
 ) -> list[ChoiceDistribution] | None:
     """Per-member choice distributions for an MCQ episode.
 
@@ -180,11 +180,10 @@ def assemble_mcq_distributions(
                         record.id, model_id)
             return None
         choices = parsed_choices(record, model_id)
-        n_passes = k if k is not None else len(passes)
         probs = [0.0] * m
         for c in choices:
             if 0 <= c < m:
-                probs[c] += 1.0 / n_passes
+                probs[c] += 1.0 / k
         residual = 1.0 - sum(probs)
         if residual > 1e-12:
             if not choices:
@@ -193,37 +192,6 @@ def assemble_mcq_distributions(
             probs = [p + residual / m for p in probs]
         out.append(ChoiceDistribution(model_id=model_id, probs=probs))
     return out
-
-
-@dataclass
-class FeatureVector:
-    """Concatenated per-model probability vectors in a fixed model order."""
-
-    values: np.ndarray
-    model_order: list[str]
-    slots: int
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.model_order) * self.slots,):
-            raise ValueError("feature length does not match model_order x slots")
-
-
-def concat_features(
-    distributions: list[ChoiceDistribution], model_order: list[str]
-) -> FeatureVector:
-    """Stack distributions as [q_1, ..., q_N] following ``model_order``."""
-    by_model = {d.model_id: d for d in distributions}
-    missing = [m for m in model_order if m not in by_model]
-    if missing:
-        raise ValueError(f"missing distributions for models: {missing}")
-    lengths = {len(d.probs) for d in distributions}
-    if len(lengths) != 1:
-        raise ValueError(f"mismatched distribution lengths: {sorted(lengths)}")
-    slots = lengths.pop()
-    values = np.concatenate(
-        [np.asarray(by_model[m].probs, dtype=np.float64) for m in model_order]
-    )
-    return FeatureVector(values=values, model_order=list(model_order), slots=slots)
 
 
 def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:

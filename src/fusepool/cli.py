@@ -313,6 +313,11 @@ def cmd_evaluate(args) -> int:
                 f"--{key.replace('_', '-')} {getattr(args, key)} differs from the "
                 f"{trained.get(key)} that train-weighted used; evaluate with its settings"
             )
+    if trained.get("members") != ensemble["members"]:
+        raise ValueError(
+            f"the prune stage picked {ensemble['members']} after train-weighted trained on "
+            f"{trained.get('members')}; re-run train-weighted"
+        )
     _, _, test_part = split(corpus, _split_spec(args))
     report = evaluate_records(test_part.records, ensemble["members"], params,
                               args.k_passes, task_of(corpus.records).kind)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 TASK_KINDS = ("mcq", "oeq", "gq")
 PASS_STATUSES = ("ok", "missing", "parse_failed")
 
-_PROB_SUM_TOL = 1e-6
+# How far a probability vector's sum may stray from 1, wherever one is checked.
+PROB_SUM_TOL = 1e-6
 
 
 class SchemaError(ValueError):
@@ -126,7 +127,7 @@ class EpisodeRecord:
                         "negative entry"
                     )
                 total = sum(probs)
-                if abs(total - 1.0) > _PROB_SUM_TOL:
+                if abs(total - 1.0) > PROB_SUM_TOL:
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         f"sums to {total:.6f}, expected 1"
@@ -148,6 +149,7 @@ class Corpus:
     model_ids: list[str]
 
     def validate(self) -> None:
+        """Check a corpus built in code; ``load_corpus`` checks as it reads."""
         seen: set[str] = set()
         pool = set(self.model_ids)
         for rec in self.records:
@@ -248,10 +250,15 @@ def _record_from_json(obj: dict) -> EpisodeRecord:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Load and validate a JSONL corpus; names the first offending line on error."""
+    """Load and validate a JSONL corpus; names the first offending line on error.
+
+    Each record is validated once, as its line is read. The pool is built from
+    the records, so every model a record names is in it by construction.
+    """
     records: list[EpisodeRecord] = []
     model_ids: list[str] = []
     seen_models: set[str] = set()
+    seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -266,14 +273,15 @@ def load_corpus(path: str) -> Corpus:
                 rec.validate()
             except SchemaError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from exc
+            if rec.id in seen_ids:
+                raise SchemaError(f"line {lineno}: record {rec.id}: id: duplicate")
+            seen_ids.add(rec.id)
             records.append(rec)
             for m in rec.model_ids_seen():
                 if m not in seen_models:
                     seen_models.add(m)
                     model_ids.append(m)
-    corpus = Corpus(records=records, model_ids=model_ids)
-    corpus.validate()
-    return corpus
+    return Corpus(records=records, model_ids=model_ids)
 
 
 def _pass_to_json(p: RawPass) -> dict:

@@ -11,9 +11,10 @@ from .diversity import FailureRule
 from .fusion import (
     FusionParameters,
     TrainConfig,
+    build_fusion_table,
     build_training_data,
+    decode,
     fusion_dims,
-    predict,
     train,
 )
 from .pruning import brute_force_prune, build_scorer
@@ -75,16 +76,17 @@ def evaluate_records(
     ``task`` is the corpus's task kind (``task_of``), which the report names
     even when ``records`` is empty.
 
-    Episodes whose gold answer fell outside the shared solution set score as
-    errors automatically: the combiner could not have produced them.
+    The split's fusion table is built once and decoded in one batch; an
+    episode without a row abstains. Episodes whose gold answer fell outside
+    the shared solution set score as errors: the combiner could not have
+    produced them.
     """
+    rows, unusable = build_fusion_table(records, members, k)
+    decoded = dict(zip(rows.episode_ids, decode(params, rows)))
     predictions = []
     hits = 0
-    abstained = 0
     for rec in records:
-        pred = predict(params, rec, members, k)
-        if pred is None:
-            abstained += 1
+        pred = decoded.get(rec.id)
         correct = answers_equal(rec, pred)
         hits += correct
         predictions.append(
@@ -102,7 +104,7 @@ def evaluate_records(
         members=list(members),
         n_episodes=n,
         accuracy=hits / n if n else 0.0,
-        n_abstained=abstained,
+        n_abstained=len(unusable),
         plurality_accuracy=plurality_accuracy(table),
         single_accuracies=single_model_accuracies(table),
         predictions=predictions,

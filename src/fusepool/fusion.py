@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .answers import (
     assemble_mcq_distributions,
     build_final_solution_set,
-    concat_features,
     model_distribution,
     parsed_answers,
 )
@@ -130,6 +129,10 @@ def _forward_pass(
     return probs, activations
 
 
+def _cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    return float(-np.log(probs[np.arange(len(targets)), targets]).mean())
+
+
 def forward(params: FusionParameters, features, active=None) -> np.ndarray:
     """Output probability vector(s); rows sum to 1 over the active slots."""
     x, single = _as_batch(features)
@@ -153,7 +156,7 @@ def loss_and_grad(
         raise ValueError("target index outside the active slots")
     probs, activations = _forward_pass(params, x, act)
     batch = x.shape[0]
-    loss = float(-np.log(probs[np.arange(batch), y]).mean())
+    loss = _cross_entropy(probs, y)
 
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
@@ -206,12 +209,20 @@ class _Sgd:
 
 @dataclass
 class FusionData:
-    """Assembled training examples: features, target slot, active slot count."""
+    """One split's fusion rows: one per usable episode, in record order.
+
+    A row stacks the members' probability vectors in member order, zero-padded
+    to the net's slot count; ``active`` is its live slot count, ``targets``
+    the gold answer's slot (-1 when the gold fell outside the shared solution
+    set) and ``slot_answers`` the answers its slots stand for: the choice
+    indices for MCQ, the solution set for OEQ.
+    """
 
     features: np.ndarray
     targets: np.ndarray
     active: np.ndarray
     episode_ids: list[str]
+    slot_answers: list[Sequence] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.episode_ids)
@@ -222,12 +233,12 @@ class FusionData:
             targets=self.targets[idx],
             active=self.active[idx],
             episode_ids=[self.episode_ids[i] for i in idx],
+            slot_answers=[self.slot_answers[i] for i in idx],
         )
 
 
 def _mean_loss(params: FusionParameters, data: FusionData) -> float:
-    loss, _ = loss_and_grad(params, data.features, data.targets, data.active)
-    return loss
+    return _cross_entropy(forward(params, data.features, data.active), data.targets)
 
 
 def train(
@@ -290,85 +301,89 @@ def fusion_dims(
     raise ValueError("the weighted combiner applies to mcq and oeq tasks only")
 
 
-def build_training_data(
+def build_fusion_table(
     records: Sequence[EpisodeRecord], members: list[str], k: int
 ) -> tuple[FusionData, list[str]]:
-    """Feature/target arrays for the fusion net, plus skipped episode ids.
+    """The fusion rows of the usable episodes, plus the ids of the others.
 
-    Episodes are skipped when no member contributed anything usable or, for
-    open-ended tasks, when the gold answer fell outside the shared solution
-    set (such episodes cannot supply a target slot).
+    An MCQ row stacks ``assemble_mcq_distributions``; an OEQ row stacks each
+    member's ``model_distribution`` over the episode's shared solution set.
+    An episode is unusable when a member has neither probabilities nor passes
+    (MCQ) or when no member parsed an answer (OEQ). A member with more passes
+    than K is an error: its frequencies over K would sum past 1.
     """
-    feats: list[np.ndarray] = []
-    targets: list[int] = []
-    active: list[int] = []
-    ids: list[str] = []
-    skipped: list[str] = []
+    rows, targets, active, ids, slot_answers, unusable = [], [], [], [], [], []
     for rec in records:
-        built = _episode_features(rec, members, k)
-        if built is None:
-            skipped.append(rec.id)
-            continue
-        values, n_active, extra = built
+        for m in members:
+            n_passes = len(rec.passes.get(m, ()))
+            if n_passes > k:
+                raise ValueError(f"record {rec.id}: model {m} has {n_passes} passes, "
+                                 f"more than --k-passes {k}")
         if rec.task.is_mcq:
-            target = rec.ground_truth
+            dists = assemble_mcq_distributions(rec, members, k)
+            blocks = None if dists is None else [d.probs for d in dists]
+            target, answers = rec.ground_truth, range(rec.task.num_choices)
+        elif rec.task.kind == "oeq":
+            per_model = {m: parsed_answers(rec, m) for m in members}
+            final = build_final_solution_set(per_model, k)
+            pad = [0.0] * (k - len(final))
+            blocks = [model_distribution(per_model[m], final, k, model_id=m).probs + pad
+                      for m in members] if len(final) else None
+            slot = final.index_of(rec.ground_truth)
+            target, answers = -1 if slot is None else slot, final.answers
         else:
-            target = extra.index_of(rec.ground_truth)
-            if target is None:
-                skipped.append(rec.id)
-                continue
-        feats.append(values)
+            raise ValueError("the weighted combiner applies to mcq and oeq tasks only")
+        if blocks is None:
+            unusable.append(rec.id)
+            continue
+        rows.append(np.concatenate(blocks))
         targets.append(target)
-        active.append(n_active)
+        active.append(len(answers))
         ids.append(rec.id)
-    if skipped:
-        log.info("skipped %d of %d episodes while assembling fusion data",
-                 len(skipped), len(records))
-    dim = feats[0].shape[0] if feats else 0
-    data = FusionData(
-        features=np.array(feats, dtype=np.float64).reshape(len(feats), dim),
+        slot_answers.append(answers)
+    dim = rows[0].shape[0] if rows else 0
+    table = FusionData(
+        features=np.array(rows, dtype=np.float64).reshape(len(rows), dim),
         targets=np.array(targets, dtype=np.intp),
         active=np.array(active, dtype=np.intp),
         episode_ids=ids,
+        slot_answers=slot_answers,
     )
-    return data, skipped
+    return table, unusable
 
 
-def _episode_features(record: EpisodeRecord, members: list[str], k: int):
-    """(feature vector, active slots, solution set or None) for one episode."""
-    if record.task.is_mcq:
-        dists = assemble_mcq_distributions(record, members, k)
-        if dists is None:
-            return None
-        fv = concat_features(dists, members)
-        return fv.values, record.task.num_choices, None
-    if record.task.kind != "oeq":
-        raise ValueError("the weighted combiner applies to mcq and oeq tasks only")
-    per_model = {m: parsed_answers(record, m) for m in members}
-    final = build_final_solution_set(per_model, k)
-    if len(final) == 0:
-        return None
-    blocks = []
-    for m in members:
-        probs = model_distribution(per_model[m], final, k, model_id=m).probs
-        blocks.append(np.pad(np.asarray(probs, dtype=np.float64), (0, k - len(probs))))
-    return np.concatenate(blocks), len(final), final
+def build_training_data(
+    records: Sequence[EpisodeRecord], members: list[str], k: int
+) -> tuple[FusionData, list[str]]:
+    """The fusion table without the rows that have no target slot, plus the
+    ids of the skipped episodes: the unusable ones, then those whose gold
+    answer fell outside the shared solution set."""
+    table, skipped = build_fusion_table(records, members, k)
+    has_target = table.targets >= 0
+    skipped += [table.episode_ids[i] for i in np.flatnonzero(~has_target)]
+    if skipped:
+        log.info("skipped %d of %d episodes while assembling fusion data",
+                 len(skipped), len(records))
+    return table.subset(np.flatnonzero(has_target)), skipped
+
+
+def decode(params: FusionParameters, data: FusionData) -> list:
+    """Each row's ensemble answer: the net's most probable active slot, as a
+    choice index (MCQ) or the answer that slot stands for (OEQ)."""
+    if len(data) == 0:
+        return []
+    # Inactive slots get probability 0, so the argmax is an active slot.
+    slots = np.argmax(forward(params, data.features, data.active), axis=1)
+    return [answers[s] for answers, s in zip(data.slot_answers, slots)]
 
 
 def predict(
     params: FusionParameters, record: EpisodeRecord, members: list[str], k: int
 ):
-    """Ensemble answer for one episode: a choice index (MCQ) or an answer
-    string (OEQ); None is the abstain marker for unusable episodes."""
-    built = _episode_features(record, members, k)
-    if built is None:
-        return None
-    values, n_active, final = built
-    probs = forward(params, values, active=n_active)
-    slot = int(np.argmax(probs[:n_active]))
-    if record.task.is_mcq:
-        return slot
-    return final.answers[slot]
+    """Ensemble answer for one episode, ``decode``'s one-row case; None is the
+    abstain marker for unusable episodes."""
+    data, _ = build_fusion_table([record], members, k)
+    return decode(params, data)[0] if len(data) else None
 
 
 def save_params(params: FusionParameters, path: str) -> None:

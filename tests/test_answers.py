@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from fusepool.answers import (
@@ -8,14 +7,13 @@ from fusepool.answers import (
     assemble_mcq_distributions,
     build_final_solution_set,
     canonical_answer,
-    concat_features,
     model_distribution,
     model_prediction,
     parsed_answers,
     plurality_prediction,
     tally,
 )
-from fusepool.corpus import RawPass
+from fusepool.corpus import PROB_SUM_TOL, RawPass
 
 from test_corpus import mcq_record, oeq_record
 
@@ -124,7 +122,7 @@ class TestModelDistribution:
 class TestMcqDistributions:
     def test_provided_probs_pass_through(self):
         rec = mcq_record("r0", probs={"m1": [0.1, 0.6, 0.2, 0.1]})
-        dists = assemble_mcq_distributions(rec, ["m1"])
+        dists = assemble_mcq_distributions(rec, ["m1"], k=1)
         assert dists[0].probs == [0.1, 0.6, 0.2, 0.1]
 
     def test_frequency_over_k_passes(self):
@@ -151,46 +149,16 @@ class TestMcqDistributions:
     def test_member_with_nothing_skips_episode(self, caplog):
         rec = mcq_record("r0", probs={"m1": [0.25, 0.25, 0.25, 0.25]})
         with caplog.at_level("WARNING"):
-            assert assemble_mcq_distributions(rec, ["m1", "m2"]) is None
+            assert assemble_mcq_distributions(rec, ["m1", "m2"], k=1) is None
         assert "m2" in caplog.text
 
 
-class TestConcatFeatures:
-    def dists(self, models, m=4):
-        return [
-            ChoiceDistribution(model_id=mid, probs=[1.0 / m] * m) for mid in models
-        ]
-
-    def test_length(self):
-        fv = concat_features(self.dists(["a", "b", "c"]), ["a", "b", "c"])
-        assert fv.values.shape == (12,)
-
-    def test_eight_models_match_mcq_input_width(self):
-        fv = concat_features(self.dists([f"m{i}" for i in range(8)]),
-                             [f"m{i}" for i in range(8)])
-        assert fv.values.shape == (32,)
-
-    def test_permuting_model_order_permutes_blocks(self):
-        d = [
-            ChoiceDistribution(model_id="a", probs=[1.0, 0.0]),
-            ChoiceDistribution(model_id="b", probs=[0.0, 1.0]),
-        ]
-        ab = concat_features(d, ["a", "b"]).values
-        ba = concat_features(d, ["b", "a"]).values
-        assert np.array_equal(ab, [1.0, 0.0, 0.0, 1.0])
-        assert np.array_equal(ba, [0.0, 1.0, 1.0, 0.0])
-
-    def test_mismatched_lengths_rejected(self):
-        d = [
-            ChoiceDistribution(model_id="a", probs=[1.0, 0.0]),
-            ChoiceDistribution(model_id="b", probs=[0.5, 0.25, 0.25]),
-        ]
-        with pytest.raises(ValueError):
-            concat_features(d, ["a", "b"])
-
-    def test_missing_model_rejected(self):
-        with pytest.raises(ValueError):
-            concat_features(self.dists(["a"]), ["a", "b"])
+class TestChoiceDistribution:
+    def test_sum_tolerance_is_the_corpus_one(self):
+        # load_corpus accepts a provided vector within PROB_SUM_TOL of 1.
+        ChoiceDistribution(model_id="m", probs=[0.25, 0.25, 0.25, 0.2500005])
+        with pytest.raises(ValueError, match="m: probabilities sum past 1"):
+            ChoiceDistribution(model_id="m", probs=[0.5, 0.5 + 2 * PROB_SUM_TOL])
 
 
 class TestPredictions:

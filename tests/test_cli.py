@@ -4,7 +4,7 @@ import pytest
 
 from fusepool.cli import main
 from fusepool.corpus import load_corpus, save_corpus
-from fusepool.synthetic import correlated_pool, oeq_pool
+from fusepool.synthetic import correlated_pool, oeq_pool, separable_confidences
 
 
 @pytest.fixture
@@ -169,6 +169,42 @@ class TestErrors:
         assert run("evaluate", *common, "--k-passes", "5") == 0
         report = json.loads((out / "report.json").read_text())
         assert report["task"] == "oeq" and report["n_episodes"] == 0
+
+    def test_evaluate_refuses_a_team_other_than_the_trained_one(self, tmp_path, capsys):
+        corpus = tmp_path / "pool8.jsonl"
+        save_corpus(correlated_pool(8, 400, seed=0), corpus)
+        out = tmp_path / "run"
+        common = ["--corpus", corpus, "--out", out, "--seed", "3"]
+        assert run("prune", *common) == 0
+        assert run("train-weighted", *common, "--epochs", "5") == 0
+        assert run("prune", *common, "--topk", "30", "--random-pick", "7") == 0
+        trained = json.loads((out / "train_report.json").read_text())["members"]
+        assert json.loads((out / "ensemble.json").read_text())["members"] != trained
+        capsys.readouterr()
+        assert run("evaluate", *common) == 2
+        err = capsys.readouterr().err
+        assert "prune" in err and "train-weighted" in err
+        assert not (out / "report.json").exists()
+
+    def test_k_passes_below_a_pass_count_names_record_and_model(self, tmp_path, capsys):
+        corpus = tmp_path / "oeq.jsonl"
+        save_corpus(oeq_pool(3, 60, k=5, seed=0), corpus)
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", corpus, "--out", out) == 0
+        capsys.readouterr()
+        assert run("train-weighted", "--corpus", corpus, "--out", out, "--epochs", "3") == 2
+        err = capsys.readouterr().err
+        assert "record oeq-" in err and "model solver-0 has 5 passes" in err
+        assert "--k-passes 1" in err
+
+    def test_train_accepts_a_vector_the_corpus_accepts(self, tmp_path):
+        corpus = separable_confidences(60, seed=0)
+        corpus.records[0].provided_choice_probs["flat-a"] = [0.25, 0.25, 0.25, 0.2500005]
+        path = tmp_path / "sep.jsonl"
+        save_corpus(corpus, path)
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", path, "--out", out) == 0
+        assert run("train-weighted", "--corpus", path, "--out", out, "--epochs", "3") == 0
 
     def test_unknown_flag_exits_nonzero(self, pool_corpus):
         with pytest.raises(SystemExit) as err:

@@ -84,6 +84,11 @@ class TestValidation:
         with pytest.raises(SchemaError, match="bad-probs"):
             rec.validate()
 
+    def test_prob_vector_length_must_match_choices(self):
+        rec = mcq_record("short", probs={"m1": [0.5, 0.5]})
+        with pytest.raises(SchemaError, match=r"short: provided_choice_probs\[m1\]: length 2"):
+            rec.validate()
+
     def test_duplicate_ids(self):
         c = Corpus(records=[mcq_record("r0"), mcq_record("r0")], model_ids=[])
         with pytest.raises(SchemaError, match="duplicate"):
@@ -161,6 +166,24 @@ class TestPersistence:
         with pytest.raises(SchemaError) as err:
             load_corpus(path)
         assert "line 1" in str(err.value) and "broken" in str(err.value)
+
+    def test_load_validates_each_record_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(5), path)
+        calls = []
+        original = EpisodeRecord.validate
+        monkeypatch.setattr(EpisodeRecord, "validate",
+                            lambda rec: calls.append(rec.id) or original(rec))
+        load_corpus(path)
+        assert calls == [f"r{i}" for i in range(5)]
+
+    def test_duplicate_id_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records=[mcq_record("r0", probs={"m1": [1.0, 0, 0, 0]}),
+                                    mcq_record("r1"), mcq_record("r0")], model_ids=["m1"]),
+                    path)
+        with pytest.raises(SchemaError, match="line 3: record r0: id: duplicate"):
+            load_corpus(path)
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -7,6 +7,7 @@ from fusepool.corpus import SplitSpec, split
 from fusepool.fusion import (
     FusionParameters,
     TrainConfig,
+    build_fusion_table,
     build_training_data,
     forward,
     fusion_dims,
@@ -247,6 +248,27 @@ class TestBuildTrainingData:
         assert skipped == []
         assert data.features.shape == (1, 8)
         assert data.targets[0] == 2 and data.active[0] == 4
+
+
+class TestFusionTable:
+    def test_eight_members_match_mcq_input_width(self):
+        members = [f"m{i}" for i in range(8)]
+        rec = mcq_record("r0", probs={m: [0.25] * 4 for m in members})
+        table, unusable = build_fusion_table([rec], members, k=1)
+        assert unusable == []
+        assert table.features.shape == (1, fusion_dims("mcq", 8, 1, m=4)[0])
+
+    def test_more_passes_than_k_names_record_model_and_flag(self):
+        rec = oeq_record("r0", passes={"a": [ok_pass("7")], "b": [ok_pass("7")] * 3})
+        with pytest.raises(ValueError, match="record r0: model b has 3 passes, "
+                                             "more than --k-passes 2"):
+            build_fusion_table([rec], ["a", "b"], k=2)
+
+    def test_gold_outside_solution_set_keeps_its_row(self):
+        rec = oeq_record("r0", gold="123", passes={"a": [ok_pass("7")], "b": [ok_pass("9")]})
+        table, unusable = build_fusion_table([rec], ["a", "b"], k=1)
+        assert unusable == [] and table.targets.tolist() == [-1]
+        assert table.slot_answers == [["7"]]
 
 
 class TestPredict:
