@@ -6,7 +6,6 @@ from .answers import (
     build_final_solution_set,
     canonical_answer,
     model_distribution,
-    tally,
 )
 from .corpus import (
     Corpus,

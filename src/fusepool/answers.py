@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -57,12 +58,6 @@ def answer_key(record: EpisodeRecord, answer: str | int):
     return answer if record.task.is_mcq else canonical_answer(answer)
 
 
-def tally(answer: str, model_answers: list[str]) -> int:
-    """Number of canonical matches of ``answer`` within ``model_answers``."""
-    target = canonical_answer(answer)
-    return sum(1 for a in model_answers if canonical_answer(a) == target)
-
-
 @dataclass
 class SolutionSet:
     """Shared finite answer domain: the top-K answers pooled across models."""
@@ -72,10 +67,7 @@ class SolutionSet:
 
     def index_of(self, answer: str | int) -> int | None:
         target = canonical_answer(answer)
-        for i, a in enumerate(self.answers):
-            if a == target:
-                return i
-        return None
+        return self.answers.index(target) if target in self.answers else None
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -86,25 +78,15 @@ def build_final_solution_set(
 ) -> SolutionSet:
     """Rank pooled answers by total frequency, keep the top K.
 
-    Ties break by first-seen position (model order, then pass order). An
-    empty result signals the episode is unusable (every model failed to
-    parse).
+    The answers are canonical, as ``parsed_answers`` returns them. Ties break
+    by first-seen position (model order, then pass order), as
+    ``Counter.most_common`` ranks them. An empty result signals the episode
+    is unusable (every model failed to parse).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    position = 0
-    for answers in per_model_answers.values():
-        for raw in answers:
-            a = canonical_answer(raw)
-            if a not in counts:
-                counts[a] = 0
-                first_seen[a] = position
-            counts[a] += 1
-            position += 1
-    ranked = sorted(counts, key=lambda a: (-counts[a], first_seen[a]))[:k]
-    return SolutionSet(answers=ranked, source_counts={a: counts[a] for a in ranked})
+    ranked = Counter(a for answers in per_model_answers.values() for a in answers).most_common(k)
+    return SolutionSet(answers=[a for a, _ in ranked], source_counts=dict(ranked))
 
 
 @dataclass
@@ -126,18 +108,21 @@ def model_distribution(
 ) -> ChoiceDistribution:
     """Per-answer frequency divided by the configured pass count K.
 
+    ``model_answers`` are canonical, as ``parsed_answers`` returns them.
     Missing or unparseable passes still divide by K, so a model that failed
     to answer reads as uncertain rather than confident. Answers that fell
     outside the shared set leave the vector summing below 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    probs = [tally(a, model_answers) / k for a in final.answers]
+    counts = Counter(model_answers)
+    probs = [counts[a] / k for a in final.answers]
     return ChoiceDistribution(model_id=model_id, probs=probs)
 
 
 def parsed_answers(record: EpisodeRecord, model_id: str) -> list[str]:
-    """Canonical parsed answers from this model's ok passes, in pass order."""
+    """Canonical parsed answers from this model's ok passes, in pass order:
+    the one place where a pass's answer is canonicalised."""
     return [
         canonical_answer(p.parsed)
         for p in record.passes.get(model_id, ())
@@ -202,25 +187,14 @@ def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:
     return None
 
 
-def _first_mode(values: list):
-    """Most frequent value, ties to the first seen; None for no values."""
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values(), default=0)
-    for v in values:
-        if counts[v] == best:
-            return v
-    return None
-
-
 def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
     """The model's single prediction for this episode.
 
     MCQ: modal parsed choice over passes, falling back to the argmax of a
-    provided probability vector. OEQ: modal canonical answer over passes.
+    provided probability vector. OEQ: modal answer over ``parsed_answers``.
     GQ: raw text of the first ok pass. None when the model gave nothing
-    usable; ties break to the first-seen answer.
+    usable; ties break to the first-seen answer. An MCQ/OEQ prediction is
+    already in ``answer_key`` form.
     """
     task = record.task
     if task.kind == "gq":
@@ -234,13 +208,13 @@ def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
             return None
     else:
         votes = parsed_answers(record, model_id)
-    return _first_mode(votes)
+    return next((v for v, _ in Counter(votes).most_common(1)), None)
 
 
 def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int | None:
     """Most frequent member prediction; ties go to the lowest-index member."""
-    preds = [model_prediction(record, m) for m in members]
-    return _first_mode([p for p in preds if p is not None])
+    votes = [p for p in (model_prediction(record, m) for m in members) if p is not None]
+    return next((v for v, _ in Counter(votes).most_common(1)), None)
 
 
 # Working-set bound for one block of masks in the batched scoring paths: the
@@ -270,9 +244,10 @@ class VoteTable:
     """Episodes x models predictions coded as small ints, made once per split;
     failures, plurality votes and single-model accuracies derive from it.
 
-    Each episode gets its own codebook keyed by ``answer_key``; -1 marks a
-    model with no usable prediction, and a gold answer nobody predicted gets
-    a sentinel code that no prediction can match.
+    Each episode gets its own codebook keyed by ``answer_key``, the form
+    ``model_prediction`` already returns; -1 marks a model with no usable
+    prediction, and a gold answer nobody predicted gets a sentinel code that
+    no prediction can match.
     """
 
     def __init__(self, records: Sequence[EpisodeRecord], model_ids: Sequence[str]) -> None:
@@ -286,7 +261,7 @@ class VoteTable:
             for j, model in enumerate(self.model_ids):
                 pred = model_prediction(rec, model)
                 if pred is not None:
-                    self.codes[i, j] = book.setdefault(answer_key(rec, pred), len(book))
+                    self.codes[i, j] = book.setdefault(pred, len(book))
             self.gold[i] = book.get(answer_key(rec, rec.ground_truth), -2)
         self.n_codes = int(self.codes.max()) + 1 if self.codes.size else 1
         # Plurality votes depend only on an episode's (codes, gold) row, so the

@@ -3,8 +3,8 @@ plus diversity-report and summarize-prep side outputs.
 
 Every stage reads and writes only its declared files, honors --seed for
 reproducibility, and exits non-zero with an actionable message on error.
-A JSON config file may supply defaults for any long flag; explicit flags
-win.
+A JSON config file may supply defaults for any subcommand's long flag,
+checked as the flag checks its value; explicit flags win.
 """
 from __future__ import annotations
 
@@ -418,9 +418,25 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub in sub_action.choices.values():
-            sub.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
+    subparsers = [sub for group in parser._subparsers._group_actions  # noqa: SLF001
+                  for sub in group.choices.values()]
+    for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        owners = [sub for sub in subparsers
+                  if flag != "--help" and flag in sub._option_string_actions]  # noqa: SLF001
+        if not owners:
+            raise ValueError(f"config {path}: unknown key {key!r}; "
+                             f"no subcommand has a {flag} flag that takes a value")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config {path}: {key!r}: {value!r} is not a string or a number")
+        for sub in owners:  # the flag's own type and choices check, as on the command line
+            action = sub._option_string_actions[flag]  # noqa: SLF001
+            try:
+                checked = sub._get_value(action, str(value))  # noqa: SLF001
+                sub._check_value(action, checked)  # noqa: SLF001
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"config {path}: {key!r}: {exc}") from None
+            sub.set_defaults(**{action.dest: checked})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -167,7 +167,7 @@ class Corpus:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Fractions, seed, and repeat count for deterministic splitting.
+    """Fractions and seed for deterministic splitting.
 
     Fractions may be zero (the 70/0/30 protocol has no validation split) but
     must sum to 1 and leave a non-empty training fraction.
@@ -177,7 +177,6 @@ class SplitSpec:
     val_frac: float
     test_frac: float
     seed: int = 0
-    repeats: int = 1
 
     def __post_init__(self) -> None:
         for name, f in (
@@ -192,8 +191,6 @@ class SplitSpec:
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"fractions sum to {total}, expected 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
 
 
 def task_of(records: list[EpisodeRecord], expected: str | None = None) -> TaskKind:
@@ -340,9 +337,3 @@ def split(
         Corpus(records=[corpus.records[i] for i in idx], model_ids=list(corpus.model_ids))
         for idx in picks
     )
-
-
-def iter_splits(corpus: Corpus, spec: SplitSpec):
-    """Yield (train, val, test) for each repeat of the protocol."""
-    for repeat in range(spec.repeats):
-        yield split(corpus, spec, repeat=repeat)

@@ -9,6 +9,7 @@ from .answers import VoteTable, answer_key
 from .corpus import Corpus, EpisodeRecord, SplitSpec, split, task_of
 from .diversity import FailureRule
 from .fusion import (
+    FusionData,
     FusionParameters,
     TrainConfig,
     build_fusion_table,
@@ -70,18 +71,20 @@ def evaluate_records(
     params: FusionParameters,
     k: int,
     task: str,
+    table: tuple[FusionData, list[str]] | None = None,
 ) -> EvalReport:
     """Score the fusion model on episodes; abstentions count as wrong.
 
     ``task`` is the corpus's task kind (``task_of``), which the report names
-    even when ``records`` is empty.
+    even when ``records`` is empty. ``table`` is the records'
+    ``build_fusion_table`` result when the caller has built it already.
 
     The split's fusion table is built once and decoded in one batch; an
     episode without a row abstains. Episodes whose gold answer fell outside
     the shared solution set score as errors: the combiner could not have
     produced them.
     """
-    rows, unusable = build_fusion_table(records, members, k)
+    rows, unusable = table or build_fusion_table(records, members, k)
     decoded = dict(zip(rows.episode_ids, decode(params, rows)))
     predictions = []
     hits = 0
@@ -120,13 +123,22 @@ def train_and_score_split(
     config: TrainConfig,
     hidden: Sequence[int] = (100, 100),
 ) -> tuple[FusionParameters, EvalReport]:
-    """Train the combiner on one split and evaluate on its test part."""
+    """Train the combiner on one split and evaluate on its test part.
+
+    Each part's fusion table is built once: a test part that is the val or
+    the train part (train-weighted reports on its val part) reuses its table.
+    """
     task = task_of(train_corpus.records)
     dims = fusion_dims(task.kind, len(members), k, m=task.num_choices, hidden=hidden)
-    train_data, _ = build_training_data(train_corpus.records, members, k)
-    val_data, _ = build_training_data(val_corpus.records, members, k)
+    train_table = build_fusion_table(train_corpus.records, members, k)
+    val_table = build_fusion_table(val_corpus.records, members, k)
+    train_data, _ = build_training_data(*train_table)
+    val_data, _ = build_training_data(*val_table)
     params = train(train_data, val_data, dims, config)
-    return params, evaluate_records(test_corpus.records, members, params, k, task.kind)
+    test_table = (val_table if test_corpus is val_corpus
+                  else train_table if test_corpus is train_corpus else None)
+    return params, evaluate_records(test_corpus.records, members, params, k, task.kind,
+                                    table=test_table)
 
 
 def run_split_protocol(
@@ -149,7 +161,7 @@ def run_split_protocol(
     list is pinned), trains the fusion net, and scores the test part.
     """
     task_of(corpus.records)
-    outer = SplitSpec(train_frac, 0.0, test_frac, seed=seed, repeats=repeats)
+    outer = SplitSpec(train_frac, 0.0, test_frac, seed=seed)
     carve = SplitSpec(0.85, 0.15, 0.0, seed=seed)
     accuracies = []
     for repeat in range(repeats):

@@ -307,7 +307,8 @@ def build_fusion_table(
     """The fusion rows of the usable episodes, plus the ids of the others.
 
     An MCQ row stacks ``assemble_mcq_distributions``; an OEQ row stacks each
-    member's ``model_distribution`` over the episode's shared solution set.
+    member's ``model_distribution`` over the episode's shared solution set;
+    the set and the distributions count the members' ``parsed_answers``.
     An episode is unusable when a member has neither probabilities nor passes
     (MCQ) or when no member parsed an answer (OEQ). A member with more passes
     than K is an error: its frequencies over K would sum past 1.
@@ -353,17 +354,16 @@ def build_fusion_table(
 
 
 def build_training_data(
-    records: Sequence[EpisodeRecord], members: list[str], k: int
+    table: FusionData, unusable: list[str]
 ) -> tuple[FusionData, list[str]]:
-    """The fusion table without the rows that have no target slot, plus the
-    ids of the skipped episodes: the unusable ones, then those whose gold
-    answer fell outside the shared solution set."""
-    table, skipped = build_fusion_table(records, members, k)
+    """A fusion table (``build_fusion_table``'s result) without the rows that
+    have no target slot, plus the ids of the skipped episodes: the unusable
+    ones, then those whose gold answer fell outside the shared solution set."""
     has_target = table.targets >= 0
-    skipped += [table.episode_ids[i] for i in np.flatnonzero(~has_target)]
+    skipped = unusable + [table.episode_ids[i] for i in np.flatnonzero(~has_target)]
     if skipped:
         log.info("skipped %d of %d episodes while assembling fusion data",
-                 len(skipped), len(records))
+                 len(skipped), len(table) + len(unusable))
     return table.subset(np.flatnonzero(has_target)), skipped
 
 

@@ -11,7 +11,6 @@ from fusepool.answers import (
     model_prediction,
     parsed_answers,
     plurality_prediction,
-    tally,
 )
 from fusepool.corpus import PROB_SUM_TOL, RawPass
 
@@ -39,17 +38,6 @@ class TestCanonical:
 
     def test_distinct_numbers_stay_distinct(self):
         assert canonical_answer("12") != canonical_answer("1200")
-
-
-class TestTally:
-    def test_direct_count(self):
-        assert tally("5", ["5", "5", "7"]) == 2
-
-    def test_absent(self):
-        assert tally("9", ["5", "5", "7"]) == 0
-
-    def test_counts_after_canonicalization(self):
-        assert tally("1200", ["1,200", "1200.", "12"]) == 2
 
 
 class TestFinalSolutionSet:
@@ -185,6 +173,8 @@ class TestPredictions:
     def test_parsed_answers_are_canonical(self):
         rec = oeq_record("r0", passes={"m1": [ok_pass("$1,200")]})
         assert parsed_answers(rec, "m1") == ["1200"]
+        rec = oeq_record("r1", passes={"m1": [ok_pass("1,200"), ok_pass("1200."), ok_pass("12")]})
+        assert parsed_answers(rec, "m1") == ["1200", "1200", "12"]
 
     def test_plurality_majority(self):
         rec = mcq_record("r0", passes={

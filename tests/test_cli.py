@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fusepool import evaluation, fusion
 from fusepool.cli import main
 from fusepool.corpus import load_corpus, save_corpus
 from fusepool.synthetic import correlated_pool, oeq_pool, separable_confidences
@@ -245,6 +246,51 @@ class TestConfigFile:
         assert run("--config", config, "prune", "--corpus", pool_corpus,
                    "--out", tmp_path / "o") == 2
         assert "config" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_named(self, tmp_path, pool_corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"topkk": 3}))
+        assert run("--config", config, "prune", "--corpus", pool_corpus,
+                   "--out", tmp_path / "o") == 2
+        assert "unknown key 'topkk'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 2.5, "invalid int value: '2.5'"),
+        ("optimizer", "adamw", "invalid choice: 'adamw'"),
+    ])
+    def test_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus, capsys,
+                                                      key, value, message):
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", pool_corpus, "--out", out) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert run("--config", config, "train-weighted", "--corpus", pool_corpus,
+                   "--out", out) == 2
+        assert f"{key!r}: argument --{key}: {message}" in capsys.readouterr().err
+        assert not (out / "fusion_params.json").exists()
+
+
+@pytest.mark.parametrize("fractions", [[], ["--train-frac", "0.85", "--val-frac", "0",
+                                            "--test-frac", "0.15"]])
+def test_train_weighted_builds_each_episode_row_once(tmp_path, monkeypatch, fractions):
+    # 850 episodes train and validate: 700 + 150 by default, 850 + 0 without a val part.
+    path = tmp_path / "oeq.jsonl"
+    save_corpus(oeq_pool(4, 1000, k=5), path)
+    out = tmp_path / "run"
+    assert run("prune", "--corpus", path, "--out", out, *fractions) == 0
+    built = []
+    original = fusion.build_fusion_table
+
+    def counting(records, members, k):
+        built.extend(rec.id for rec in records)
+        return original(records, members, k)
+
+    monkeypatch.setattr(fusion, "build_fusion_table", counting)
+    monkeypatch.setattr(evaluation, "build_fusion_table", counting)
+    assert run("train-weighted", "--corpus", path, "--out", out, "--k-passes", "5",
+               "--epochs", "2", *fractions) == 0
+    assert len(built) == len(set(built)) == 850
 
 
 def test_harvested_corpus_round_trips_through_cli_artifacts(tmp_path):

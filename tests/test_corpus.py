@@ -236,7 +236,7 @@ class TestSplit:
 
     def test_repeats_differ(self):
         corpus = corpus_of(60)
-        spec = SplitSpec(0.7, 0.0, 0.3, seed=0, repeats=2)
+        spec = SplitSpec(0.7, 0.0, 0.3, seed=0)
         a = split(corpus, spec, repeat=0)
         b = split(corpus, spec, repeat=1)
         assert {r.id for r in a[0].records} != {r.id for r in b[0].records}
@@ -261,15 +261,3 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(Corpus(records=[], model_ids=[]), SplitSpec(0.7, 0.0, 0.3))
 
-
-def test_iter_splits_yields_one_partition_per_repeat():
-    from fusepool.corpus import iter_splits
-
-    corpus = corpus_of(40)
-    spec = SplitSpec(0.7, 0.0, 0.3, seed=2, repeats=4)
-    partitions = list(iter_splits(corpus, spec))
-    assert len(partitions) == 4
-    train_sets = [frozenset(r.id for r in tr.records) for tr, _, _ in partitions]
-    assert len(set(train_sets)) == 4
-    again = [frozenset(r.id for r in tr.records) for tr, _, _ in iter_splits(corpus, spec)]
-    assert train_sets == again

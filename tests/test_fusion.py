@@ -164,7 +164,7 @@ class TestLossAndGrad:
 
 class TestTrain:
     def make_data(self, corpus_part, members):
-        data, _ = build_training_data(corpus_part.records, members, k=1)
+        data, _ = build_training_data(*build_fusion_table(corpus_part.records, members, k=1))
         return data
 
     def test_separable_task_trains_to_high_accuracy(self):
@@ -225,7 +225,7 @@ class TestBuildTrainingData:
             "a": [ok_pass("7"), ok_pass("7"), ok_pass("5")],
             "b": [ok_pass("5"), ok_pass("9"), ok_pass("9")],
         })
-        data, skipped = build_training_data([rec], ["a", "b"], k=3)
+        data, skipped = build_training_data(*build_fusion_table([rec], ["a", "b"], k=3))
         assert skipped == []
         # Y_final = [7, 5, 9]; features are per-model frequencies over it.
         assert data.features[0] == pytest.approx([2/3, 1/3, 0, 0, 1/3, 2/3])
@@ -236,7 +236,7 @@ class TestBuildTrainingData:
         rec = oeq_record("r0", gold="123", passes={
             "a": [ok_pass("7")], "b": [ok_pass("9")],
         })
-        data, skipped = build_training_data([rec], ["a", "b"], k=1)
+        data, skipped = build_training_data(*build_fusion_table([rec], ["a", "b"], k=1))
         assert skipped == ["r0"]
         assert len(data) == 0
 
@@ -244,7 +244,7 @@ class TestBuildTrainingData:
         rec = mcq_record("r0", gold=2, probs={
             "a": [0.1, 0.1, 0.7, 0.1], "b": [0.25, 0.25, 0.25, 0.25],
         })
-        data, skipped = build_training_data([rec], ["a", "b"], k=1)
+        data, skipped = build_training_data(*build_fusion_table([rec], ["a", "b"], k=1))
         assert skipped == []
         assert data.features.shape == (1, 8)
         assert data.targets[0] == 2 and data.active[0] == 4

@@ -69,7 +69,7 @@ def test_table_equals_per_episode_construction(inputs):
         assert table.targets[i] == target
         assert list(table.slot_answers[i]) == list(answers)
 
-    data, skipped = build_training_data(corpus.records, members, k)
+    data, skipped = build_training_data(table, unusable)
     kept = table.targets >= 0
     assert data.episode_ids == [i for i, keep in zip(table.episode_ids, kept) if keep]
     assert np.array_equal(data.features, table.features[kept])
