@@ -283,21 +283,21 @@ def cmd_train_weighted(args) -> int:
         early_stop_patience=args.patience,
     )
     params, val_report = train_and_score_split(
-        train_part, val_part, val_part if val_part.records else train_part,
-        members, args.k_passes, config,
-    )
+        train_part, val_part, val_part, members, args.k_passes, config)
     save_params(params, out / "fusion_params.json")
     report = {
         "members": members,
         "dims": list(params.dims),
         "n_train": len(train_part.records),
         "n_val": len(val_part.records),
-        "val_accuracy": val_report.accuracy,
+        "val_accuracy": val_report.accuracy if val_part.records else None,
         **{key: getattr(args, key) for key in _TRAINING_SETTINGS},
     }
     with open(out / "train_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
-    log.info("trained fusion net %s; val accuracy %.4f", params.dims, val_report.accuracy)
+    val_note = (f"val accuracy {val_report.accuracy:.4f}" if val_part.records
+                else "no val episodes")
+    log.info("trained fusion net %s; %s", params.dims, val_note)
     return 0
 
 

@@ -125,8 +125,8 @@ def train_and_score_split(
 ) -> tuple[FusionParameters, EvalReport]:
     """Train the combiner on one split and evaluate on its test part.
 
-    Each part's fusion table is built once: a test part that is the val or
-    the train part (train-weighted reports on its val part) reuses its table.
+    Each part's fusion table is built once: a test part that is the val part
+    (train-weighted reports on its val part) reuses its table.
     """
     task = task_of(train_corpus.records)
     dims = fusion_dims(task.kind, len(members), k, m=task.num_choices, hidden=hidden)
@@ -135,8 +135,7 @@ def train_and_score_split(
     train_data, _ = build_training_data(*train_table)
     val_data, _ = build_training_data(*val_table)
     params = train(train_data, val_data, dims, config)
-    test_table = (val_table if test_corpus is val_corpus
-                  else train_table if test_corpus is train_corpus else None)
+    test_table = val_table if test_corpus is val_corpus else None
     return params, evaluate_records(test_corpus.records, members, params, k, task.kind,
                                     table=test_table)
 

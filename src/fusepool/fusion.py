@@ -31,10 +31,12 @@ PARAMS_FORMAT_VERSION = 1
 
 @dataclass
 class FusionParameters:
-    """Weight stack (W_1, b_1), ..., (W_H, b_H); W_l maps dims[l-1] -> dims[l]."""
+    """Weight stack (W_1, b_1), ..., (W_H, b_H); W_l maps dims[l-1] -> dims[l].
+    ``layers`` are views into one float64 vector, ``flat`` (W_1, b_1, W_2, ...)."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     dims: tuple[int, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.layers) != len(self.dims) - 1:
@@ -44,11 +46,20 @@ class FusionParameters:
                 raise ValueError(f"layer {l}: shape {w.shape} does not chain with dims")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l}: non-finite entries")
+        self.flat = _flatten(self.layers)
+        sizes = [n for fan_in, fan_out in zip(self.dims, self.dims[1:])
+                 for n in (fan_out * fan_in, fan_out)]
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        self.layers = [(w.reshape(b.size, -1), b) for w, b in zip(parts[::2], parts[1::2])]
 
     def copy(self) -> "FusionParameters":
-        return FusionParameters(
-            layers=[(w.copy(), b.copy()) for w, b in self.layers], dims=self.dims
-        )
+        """An independent copy: construction packs the layers into a new ``flat``."""
+        return FusionParameters(layers=self.layers, dims=self.dims)
+
+
+def _flatten(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """One float64 vector of W_1, b_1, W_2, ...: the ``flat`` layout."""
+    return np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,12 +97,9 @@ def init_params(dims: Sequence[int], seed: int = 0) -> FusionParameters:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exactly exp(-z) for z >= 0 and exp(z) below, and never overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_batch(features: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -178,33 +186,26 @@ class _Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-        self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params: FusionParameters, grads) -> None:
+    def step(self, params: FusionParameters, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for l, (gw, gb) in enumerate(grads):
-            for slot, g in ((0, gw), (1, gb)):
-                m = self.m[l][slot]
-                v = self.v[l][slot]
-                m *= self.beta1
-                m += (1 - self.beta1) * g
-                v *= self.beta2
-                v += (1 - self.beta2) * g * g
-                target = params.layers[l][slot]
-                target -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        params.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 class _Sgd:
     def __init__(self, params: FusionParameters, lr: float) -> None:
         self.lr = lr
 
-    def step(self, params: FusionParameters, grads) -> None:
-        for l, (gw, gb) in enumerate(grads):
-            params.layers[l][0][...] -= self.lr * gw
-            params.layers[l][1][...] -= self.lr * gb
+    def step(self, params: FusionParameters, grad: np.ndarray) -> None:
+        params.flat -= self.lr * grad
 
 
 @dataclass
@@ -273,7 +274,7 @@ def train(
                 train_data.targets[idx],
                 train_data.active[idx],
             )
-            opt.step(params, grads)
+            opt.step(params, _flatten(grads))
         val_loss = _mean_loss(params, held_out)
         if val_loss < best_loss:
             best_loss = val_loss

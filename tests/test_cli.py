@@ -293,6 +293,22 @@ def test_train_weighted_builds_each_episode_row_once(tmp_path, monkeypatch, frac
     assert len(built) == len(set(built)) == 850
 
 
+def test_train_weighted_without_val_episodes_reports_no_val_accuracy(tmp_path, caplog):
+    path = tmp_path / "pool.jsonl"
+    save_corpus(correlated_pool(4, 200), path)
+    fractions = ["--train-frac", "0.8", "--val-frac", "0", "--test-frac", "0.2"]
+    out = tmp_path / "run"
+    assert run("prune", "--corpus", path, "--out", out, *fractions) == 0
+    with caplog.at_level("INFO"):
+        assert run("train-weighted", "--corpus", path, "--out", out, "--epochs", "5",
+                   *fractions) == 0
+    report = json.loads((out / "train_report.json").read_text())
+    assert (report["n_train"], report["n_val"]) == (160, 0)
+    assert report["val_accuracy"] is None
+    assert "no val episodes" in caplog.text
+    assert run("evaluate", "--corpus", path, "--out", out, *fractions) == 0
+
+
 def test_harvested_corpus_round_trips_through_cli_artifacts(tmp_path):
     corpus = oeq_pool(2, 10, k=2, seed=4)
     path = tmp_path / "c.jsonl"

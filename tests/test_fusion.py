@@ -7,6 +7,9 @@ from fusepool.corpus import SplitSpec, split
 from fusepool.fusion import (
     FusionParameters,
     TrainConfig,
+    _Adam,
+    _Sgd,
+    _sigmoid,
     build_fusion_table,
     build_training_data,
     forward,
@@ -127,6 +130,127 @@ class TestForward:
             dims=params.dims,
         )
         assert int(np.argmax(forward(scaled, x))) == base
+
+
+def random_layers(dims, rng):
+    """Nonzero entries everywhere, so any misplaced view shows."""
+    return [(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])]
+
+
+class TestFlatLayout:
+    def test_layers_are_views_into_flat_in_order(self):
+        rng = np.random.default_rng(0)
+        layers = random_layers((7, 5, 3), rng)
+        params = FusionParameters(layers=layers, dims=(7, 5, 3))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == 7 * 5 + 5 + 5 * 3 + 3
+        for (w, b), (w0, b0) in zip(params.layers, layers):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+        params.flat[:] = np.arange(params.flat.size)
+        (w1, b1), (w2, b2) = params.layers
+        assert np.array_equal(w1, np.arange(35).reshape(5, 7))
+        assert np.array_equal(b1, np.arange(35, 40))
+        assert np.array_equal(w2, np.arange(40, 55).reshape(3, 5))
+        assert np.array_equal(b2, np.arange(55, 58))
+
+    def test_construction_copies_the_given_arrays(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        params = FusionParameters(layers=[(w, b)], dims=(3, 2))
+        w[0, 0] = 5.0
+        assert params.layers[0][0][0, 0] == 1.0
+
+    def test_copy_is_independent(self):
+        params = init_params((6, 5, 4), seed=1)
+        clone = params.copy()
+        assert np.array_equal(clone.flat, params.flat)
+        assert not np.shares_memory(clone.flat, params.flat)
+        assert all(np.shares_memory(w, clone.flat) for w, _ in clone.layers)
+        before = params.flat.copy()
+        clone.flat += 1.0
+        assert np.array_equal(params.flat, before)
+        params.layers[1][1][:] = 3.0
+        assert np.array_equal(clone.flat, before + 1.0)
+
+
+def reference_adam_steps(layers, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with one moment pair per parameter array, updated array by array."""
+    layers = [(w.copy(), b.copy()) for w, b in layers]
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    trajectory = []
+    for t, grads in enumerate(grad_seq, start=1):
+        c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for l, pair in enumerate(grads):
+            for slot, g in enumerate(pair):
+                mm, vv = m[l][slot], v[l][slot]
+                mm *= beta1
+                mm += (1 - beta1) * g
+                vv *= beta2
+                vv += (1 - beta2) * g * g
+                layers[l][slot][...] -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+        trajectory.append([(w.copy(), b.copy()) for w, b in layers])
+    return trajectory
+
+
+def reference_sgd_steps(layers, grad_seq, lr):
+    layers = [(w.copy(), b.copy()) for w, b in layers]
+    trajectory = []
+    for grads in grad_seq:
+        for (w, b), (gw, gb) in zip(layers, grads):
+            w -= lr * gw
+            b -= lr * gb
+        trajectory.append([(w.copy(), b.copy()) for w, b in layers])
+    return trajectory
+
+
+class TestOptimizers:
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (20, 100, 100, 5)])
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_flat_step_matches_per_array_reference(self, dims, name):
+        rng = np.random.default_rng(len(dims))
+        params = init_params(dims, seed=3)
+        # Gradients over several magnitudes, signs and exact zeros.
+        grad_seq = [[(g * s, gb * s) for g, gb in random_layers(dims, rng)]
+                    for s in (1.0, 1e-3, 0.0, 50.0, -2.5, 1e-7)]
+        lr = 1e-2
+        if name == "adam":
+            want = reference_adam_steps(params.layers, grad_seq, lr)
+            opt = _Adam(params, lr)
+        else:
+            want = reference_sgd_steps(params.layers, grad_seq, lr)
+            opt = _Sgd(params, lr)
+        for grads, expected in zip(grad_seq, want):
+            flat_grad = np.concatenate([a.ravel() for pair in grads for a in pair])
+            opt.step(params, flat_grad)
+            for (w, b), (we, be) in zip(params.layers, expected):
+                assert w.tobytes() == we.tobytes() and b.tobytes() == be.tobytes()
+
+
+def reference_sigmoid(z):
+    """The two-branch form: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_two_branch_reference_at_the_edges(self):
+        edges = [0.0, 1e-300, 36.0, 745.0, 1e308, np.inf]
+        z = np.array(edges + [-x for x in edges] + [np.nan])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _sigmoid(z)
+        want = reference_sigmoid(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[-1])
+        assert got[0] == got[len(edges)] == 0.5
+
+    def test_matches_two_branch_reference_on_a_batch(self):
+        z = np.random.default_rng(4).normal(scale=20.0, size=(32, 100))
+        assert _sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
 
 
 class TestLossAndGrad:
@@ -309,6 +433,8 @@ class TestSerialization:
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.dims == params.dims
+        assert loaded.flat.dtype == np.float64
+        assert loaded.flat.tobytes() == params.flat.tobytes()
         for (wa, ba), (wb, bb) in zip(params.layers, loaded.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
