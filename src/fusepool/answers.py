@@ -120,22 +120,14 @@ def model_distribution(
     return ChoiceDistribution(model_id=model_id, probs=probs)
 
 
-def parsed_answers(record: EpisodeRecord, model_id: str) -> list[str]:
-    """Canonical parsed answers from this model's ok passes, in pass order:
-    the one place where a pass's answer is canonicalised."""
+def parsed_answers(record: EpisodeRecord, model_id: str) -> list[str | int]:
+    """The ``answer_key`` form of each parsed answer in this model's passes, in
+    pass order: the one place where a pass's answer is read. The corpus schema
+    has typed every parsed answer and ties it to an ok status."""
     return [
-        canonical_answer(p.parsed)
+        answer_key(record, p.parsed)
         for p in record.passes.get(model_id, ())
-        if p.status == "ok" and p.parsed is not None
-    ]
-
-
-def parsed_choices(record: EpisodeRecord, model_id: str) -> list[int]:
-    """Parsed choice indices from this model's ok passes (MCQ)."""
-    return [
-        p.parsed
-        for p in record.passes.get(model_id, ())
-        if p.status == "ok" and isinstance(p.parsed, int)
+        if p.parsed is not None
     ]
 
 
@@ -145,10 +137,11 @@ def assemble_mcq_distributions(
     """Per-member choice distributions for an MCQ episode.
 
     Provider-supplied probability vectors pass through unchanged. Otherwise
-    each parsed pass contributes 1/K to its choice and every missing or
-    unparsed pass contributes uniform mass, so the vector always sums to 1;
-    a member with no parsed pass at all becomes uniform. Returns None (the
-    episode is skipped) when a member has neither probabilities nor passes.
+    a choice's confidence is its count among the member's ``parsed_answers``
+    divided by K, and the mass of missing or unparsed passes is spread
+    uniformly, so the vector always sums to 1; a member with no parsed pass
+    at all becomes uniform. Returns None (the episode is skipped) when a
+    member has neither probabilities nor passes.
     """
     if not record.task.is_mcq:
         raise ValueError(f"record {record.id} is not mcq")
@@ -159,19 +152,15 @@ def assemble_mcq_distributions(
         if provided is not None:
             out.append(ChoiceDistribution(model_id=model_id, probs=list(provided)))
             continue
-        passes = record.passes.get(model_id)
-        if not passes:
+        if not record.passes.get(model_id):
             log.warning("record %s: model %s has no probs and no passes; skipping episode",
                         record.id, model_id)
             return None
-        choices = parsed_choices(record, model_id)
-        probs = [0.0] * m
-        for c in choices:
-            if 0 <= c < m:
-                probs[c] += 1.0 / k
+        counts = Counter(parsed_answers(record, model_id))
+        probs = [counts[c] / k for c in range(m)]
         residual = 1.0 - sum(probs)
         if residual > 1e-12:
-            if not choices:
+            if not counts:
                 log.warning("record %s: model %s has zero parsed passes; using uniform",
                             record.id, model_id)
             probs = [p + residual / m for p in probs]
@@ -190,25 +179,18 @@ def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:
 def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
     """The model's single prediction for this episode.
 
-    MCQ: modal parsed choice over passes, falling back to the argmax of a
-    provided probability vector. OEQ: modal answer over ``parsed_answers``.
-    GQ: raw text of the first ok pass. None when the model gave nothing
-    usable; ties break to the first-seen answer. An MCQ/OEQ prediction is
-    already in ``answer_key`` form.
+    MCQ/OEQ: the argmax of the model's provided probability vector when it
+    has one, as fusion reads it too; otherwise the modal ``parsed_answers``
+    entry, ties to the first seen, so the prediction is in ``answer_key``
+    form. GQ: raw text of the first ok pass. None when the model gave
+    nothing usable.
     """
-    task = record.task
-    if task.kind == "gq":
+    if record.task.kind == "gq":
         return first_usable_text(record, model_id)
-    if task.is_mcq:
-        votes: list[int] = parsed_choices(record, model_id)
-        if not votes:
-            provided = (record.provided_choice_probs or {}).get(model_id)
-            if provided is not None:
-                return int(np.argmax(provided))
-            return None
-    else:
-        votes = parsed_answers(record, model_id)
-    return next((v for v, _ in Counter(votes).most_common(1)), None)
+    provided = (record.provided_choice_probs or {}).get(model_id)
+    if provided is not None:
+        return int(np.argmax(provided))
+    return next((v for v, _ in Counter(parsed_answers(record, model_id)).most_common(1)), None)
 
 
 def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int | None:

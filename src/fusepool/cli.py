@@ -268,10 +268,22 @@ def _load_artifact(path: Path, produced_by: str) -> dict:
         return json.load(fh)
 
 
+def _load_ensemble(out: Path, corpus: Corpus) -> dict:
+    """The prune stage's ``ensemble.json``, refused when it was pruned from a
+    pool other than this corpus's: its members would name other models."""
+    ensemble = _load_artifact(out / "ensemble.json", "prune")
+    if ensemble.get("model_ids") != corpus.model_ids:
+        raise ValueError(
+            f"{out / 'ensemble.json'} was pruned from the pool {ensemble.get('model_ids')}, "
+            f"not this corpus's {corpus.model_ids}; re-run the prune stage on this corpus"
+        )
+    return ensemble
+
+
 def cmd_train_weighted(args) -> int:
     corpus = _load_checked(args)
     out = Path(args.out)
-    ensemble = _load_artifact(out / "ensemble.json", "prune")
+    ensemble = _load_ensemble(out, corpus)
     members = ensemble["members"]
     train_part, val_part, _ = split(corpus, _split_spec(args))
     config = TrainConfig(
@@ -304,7 +316,7 @@ def cmd_train_weighted(args) -> int:
 def cmd_evaluate(args) -> int:
     corpus = _load_checked(args)
     out = Path(args.out)
-    ensemble = _load_artifact(out / "ensemble.json", "prune")
+    ensemble = _load_ensemble(out, corpus)
     params = load_params(_require_artifact(out / "fusion_params.json", "train-weighted"))
     trained = _load_artifact(out / "train_report.json", "train-weighted")
     for key in _TRAINING_SETTINGS:  # another split would score training episodes
@@ -365,11 +377,9 @@ def cmd_summarize_prep(args) -> int:
     corpus = _load_checked(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ensemble_path = out / "ensemble.json"
     members = corpus.model_ids
-    if ensemble_path.exists():
-        with open(ensemble_path, encoding="utf-8") as fh:
-            members = json.load(fh)["members"]
+    if (out / "ensemble.json").exists():
+        members = _load_ensemble(out, corpus)["members"]
     n_written = 0
     with open(out / "summary_inputs.jsonl", "w", encoding="utf-8") as fh:
         for rec in corpus.records:

@@ -2,9 +2,10 @@
 
 One JSON object per line, field names: id, task, prompt, choices,
 ground_truth, passes, provided_choice_probs. ``passes`` maps model id to a
-list of ``{raw_text, parsed, latency_s, status}`` objects. The pool's model
-ids are derived from the records in first-seen order, so a model that never
-appears in any record does not survive a save/load round trip.
+list of ``{raw_text, parsed, latency_s, status}`` objects; ``TaskKind.admits``
+says what a parsed answer may be, and every reader relies on it. The pool's
+model ids are derived from the records in first-seen order, so a model that
+never appears in any record does not survive a save/load round trip.
 """
 from __future__ import annotations
 
@@ -55,6 +56,14 @@ class TaskKind:
     def is_mcq(self) -> bool:
         return self.kind == "mcq"
 
+    def admits(self, parsed) -> bool:
+        """Whether ``parsed`` may be a pass's parsed answer: a choice index in
+        [0, num_choices) for MCQ, text or an int for OEQ, text for GQ. A bool
+        is never an int."""
+        if self.kind == "mcq":
+            return type(parsed) is int and 0 <= parsed < self.num_choices
+        return type(parsed) is str or (self.kind == "oeq" and type(parsed) is int)
+
     def __str__(self) -> str:
         return f"mcq with {self.num_choices} choices" if self.is_mcq else self.kind
 
@@ -71,6 +80,8 @@ class RawPass:
     def validate(self, owner: str) -> None:
         if self.status not in PASS_STATUSES:
             raise SchemaError(f"record {owner}: passes: bad status {self.status!r}")
+        if not isinstance(self.raw_text, str):
+            raise SchemaError(f"record {owner}: passes: raw_text {self.raw_text!r} is not text")
         if self.parsed is not None and self.status != "ok":
             raise SchemaError(
                 f"record {owner}: passes: parsed answer present but status={self.status!r}"
@@ -92,10 +103,14 @@ class EpisodeRecord:
     def validate(self) -> None:
         if not self.id:
             raise SchemaError("record with empty id")
+        if not isinstance(self.prompt, str):
+            raise SchemaError(f"record {self.id}: prompt: must be text")
         if self.task.is_mcq:
             if not self.choices or len(self.choices) != self.task.num_choices:
                 raise SchemaError(f"record {self.id}: choices: missing or wrong length")
-            if not isinstance(self.ground_truth, int) or not (
+            if not all(isinstance(c, str) for c in self.choices):
+                raise SchemaError(f"record {self.id}: choices: must be text")
+            if type(self.ground_truth) is not int or not (  # a bool is no index
                 0 <= self.ground_truth < self.task.num_choices
             ):
                 raise SchemaError(
@@ -107,27 +122,41 @@ class EpisodeRecord:
                 raise SchemaError(f"record {self.id}: choices: only valid for mcq")
             if not isinstance(self.ground_truth, str):
                 raise SchemaError(f"record {self.id}: ground_truth: must be text")
+        admits = self.task.admits
         for passes in self.passes.values():
             for p in passes:
                 p.validate(self.id)
+                if p.parsed is not None and not admits(p.parsed):
+                    raise SchemaError(
+                        f"record {self.id}: passes: parsed {p.parsed!r} is not an answer "
+                        f"to a {self.task} question"
+                    )
         if self.provided_choice_probs is not None:
             if not self.task.is_mcq:
                 raise SchemaError(
                     f"record {self.id}: provided_choice_probs: only valid for mcq"
                 )
             for model_id, probs in self.provided_choice_probs.items():
-                if len(probs) != self.task.num_choices:
+                try:  # a vector that is not a list of numbers fails len, < or sum
+                    n_probs = len(probs)
+                    negative = any(p < 0 for p in probs)
+                    total = sum(probs)
+                except TypeError:
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        f"length {len(probs)} != {self.task.num_choices}"
+                        "must be a list of numbers"
+                    ) from None
+                if n_probs != self.task.num_choices:
+                    raise SchemaError(
+                        f"record {self.id}: provided_choice_probs[{model_id}]: "
+                        f"length {n_probs} != {self.task.num_choices}"
                     )
-                if any(p < 0 for p in probs):
+                if negative:
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         "negative entry"
                     )
-                total = sum(probs)
-                if abs(total - 1.0) > PROB_SUM_TOL:
+                if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN sum fails too
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         f"sums to {total:.6f}, expected 1"
@@ -217,7 +246,9 @@ def _pass_from_json(obj: dict, owner: str) -> RawPass:
     )
 
 
-def _record_from_json(obj: dict) -> EpisodeRecord:
+def _record_from_json(obj) -> EpisodeRecord:
+    if not isinstance(obj, dict):
+        raise SchemaError("record is not a JSON object")
     rec_id = obj.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         raise SchemaError("record with missing or non-string id")
@@ -231,9 +262,17 @@ def _record_from_json(obj: dict) -> EpisodeRecord:
         task = TaskKind.mcq(len(choices))
     else:
         task = TaskKind(kind)
+    plists = obj.get("passes")
+    if plists is None:
+        plists = {}
+    elif not isinstance(plists, dict) or not all(isinstance(v, list) for v in plists.values()):
+        raise SchemaError(f"record {rec_id}: passes: must map model ids to lists")
+    probs = obj.get("provided_choice_probs")
+    if probs is not None and not isinstance(probs, dict):
+        raise SchemaError(f"record {rec_id}: provided_choice_probs: must map model ids to lists")
     passes = {
         model_id: [_pass_from_json(p, rec_id) for p in plist]
-        for model_id, plist in (obj.get("passes") or {}).items()
+        for model_id, plist in plists.items()
     }
     return EpisodeRecord(
         id=rec_id,
@@ -242,7 +281,7 @@ def _record_from_json(obj: dict) -> EpisodeRecord:
         ground_truth=obj.get("ground_truth"),
         choices=choices,
         passes=passes,
-        provided_choice_probs=obj.get("provided_choice_probs"),
+        provided_choice_probs=probs,
     )
 
 

@@ -308,8 +308,9 @@ def build_fusion_table(
     """The fusion rows of the usable episodes, plus the ids of the others.
 
     An MCQ row stacks ``assemble_mcq_distributions``; an OEQ row stacks each
-    member's ``model_distribution`` over the episode's shared solution set;
-    the set and the distributions count the members' ``parsed_answers``.
+    member's ``model_distribution`` over the episode's shared solution set.
+    Both count the members' ``parsed_answers`` over K, the reading that
+    ``model_prediction`` votes from; a provided MCQ vector passes through.
     An episode is unusable when a member has neither probabilities nor passes
     (MCQ) or when no member parsed an answer (OEQ). A member with more passes
     than K is an error: its frequencies over K would sum past 1.

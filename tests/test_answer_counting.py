@@ -5,9 +5,12 @@ here is the explicit loop it replaced: rank distinct answers by count,
 descending, then by first position. Small alphabets make count ties common,
 and member ids come in random order so that model order is not sort order.
 """
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from fusepool.answers import (
+    assemble_mcq_distributions,
     build_final_solution_set,
     canonical_answer,
     model_distribution,
@@ -77,6 +80,26 @@ def test_solution_set_and_confidences_follow_the_first_seen_ranking(pool):
         for answers in pool.values():
             probs = model_distribution(answers, final, k).probs
             assert probs == [sum(1 for x in answers if x == a) / k for a in final.answers]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(episodes(mcq=True), st.integers(0, 6))
+def test_mcq_confidences_are_counts_over_k_plus_the_uniform_residual(episode, extra):
+    # The OEQ rule above, count / K, with the unparsed mass spread evenly.
+    rec, members = episode
+    k = max([1] + [len(passes) for passes in rec.passes.values()]) + extra
+    dists = assemble_mcq_distributions(rec, members, k)
+    if any(not rec.passes[m] for m in members):
+        assert dists is None  # a member with neither probabilities nor passes
+        return
+    n_choices = rec.task.num_choices
+    for m, dist in zip(members, dists):
+        counts = Counter(p.parsed for p in rec.passes[m] if p.parsed is not None)
+        expected = [counts[c] / k for c in range(n_choices)]
+        residual = 1.0 - sum(expected)
+        if residual > 1e-12:
+            expected = [q + residual / n_choices for q in expected]
+        assert dist.probs == expected
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -95,6 +95,12 @@ class TestPipeline:
         assert row["text"][lo:hi].startswith("synthetic arithmetic")
 
 
+# A valid two-choice record; the malformed-line cases override one field each.
+GOOD_MCQ = {"id": "q2", "task": "mcq", "prompt": "p", "choices": ["a", "b"], "ground_truth": 0,
+            "passes": {"m1": [{"raw_text": "a", "parsed": 0, "status": "ok"}]},
+            "provided_choice_probs": {"m2": [0.5, 0.5]}}
+
+
 class TestErrors:
     def test_train_without_prune_names_missing_artifact(self, tmp_path, pool_corpus, capsys):
         out = tmp_path / "nope"
@@ -206,6 +212,55 @@ class TestErrors:
         out = tmp_path / "run"
         assert run("prune", "--corpus", path, "--out", out) == 0
         assert run("train-weighted", "--corpus", path, "--out", out, "--epochs", "3") == 0
+
+    @pytest.mark.parametrize("stage", ["prune", "summarize-prep"])
+    @pytest.mark.parametrize("line", [
+        [GOOD_MCQ],
+        {**GOOD_MCQ, "passes": [{"raw_text": "a", "parsed": 0}]},
+        {**GOOD_MCQ, "passes": 0},
+        {**GOOD_MCQ, "passes": {"m1": 3}},
+        {**GOOD_MCQ, "provided_choice_probs": [0.5, 0.5]},
+        {**GOOD_MCQ, "provided_choice_probs": {"m2": ["0.5", "0.5"]}},
+        {**GOOD_MCQ, "provided_choice_probs": {"m2": [float("nan"), 0.5]}},
+        {**GOOD_MCQ, "ground_truth": True},
+        {**GOOD_MCQ, "prompt": 5},
+        {**GOOD_MCQ, "choices": ["a", 2]},
+        {**GOOD_MCQ, "passes": {"m1": [{"raw_text": 5, "parsed": 0}]}},
+        {**GOOD_MCQ, "passes": {"m1": [{"raw_text": "x", "parsed": 9}]}},
+        {**GOOD_MCQ, "passes": {"m1": [{"raw_text": "B", "parsed": "B"}]}},
+        {**GOOD_MCQ, "passes": {"m1": [{"raw_text": "yes", "parsed": True}]}},
+        {"id": "q2", "task": "oeq", "prompt": "p", "ground_truth": "12",
+         "passes": {"m1": [{"raw_text": "1, 2", "parsed": [1, 2]}]}},
+        {"id": "q2", "task": "gq", "prompt": "p", "ground_truth": "three",
+         "passes": {"m1": [{"raw_text": "3", "parsed": 3}]}},
+    ], ids=["not-an-object", "passes-list", "passes-number", "pass-list-number", "probs-list",
+            "probs-strings", "probs-nan", "mcq-gold-bool", "prompt-number",
+            "choice-number", "raw-text-number", "mcq-parsed-out-of-range",
+            "mcq-parsed-letter", "mcq-parsed-bool", "oeq-parsed-list", "gq-parsed-int"])
+    def test_malformed_corpus_line_is_named(self, tmp_path, capsys, stage, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**GOOD_MCQ, "id": "q1"}) + "\n" + json.dumps(line) + "\n")
+        assert run(stage, "--corpus", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["train-weighted", "evaluate", "summarize-prep"])
+    def test_stage_refuses_an_ensemble_pruned_from_another_pool(self, tmp_path, capsys, stage):
+        pruned = tmp_path / "pruned.jsonl"
+        save_corpus(oeq_pool(4, 300, k=5, seed=1), pruned)
+        other = tmp_path / "other.jsonl"
+        other.write_text(pruned.read_text().replace('"solver-', '"other-'))
+        out = tmp_path / "run"
+        common = ["--out", out, "--k-passes", "5"]
+        assert run("prune", "--corpus", pruned, "--out", out) == 0
+        assert run("train-weighted", "--corpus", pruned, *common, "--epochs", "2") == 0
+        capsys.readouterr()
+        argv = ["--corpus", other, "--out", out]
+        assert run(stage, *argv, *(common[2:] if stage != "summarize-prep" else [])) == 2
+        err = capsys.readouterr().err
+        assert "ensemble.json" in err and "prune" in err and "other-0" in err
+        assert not (out / "summary_inputs.jsonl").exists()
+        assert not (out / "report.json").exists()
 
     def test_unknown_flag_exits_nonzero(self, pool_corpus):
         with pytest.raises(SystemExit) as err:

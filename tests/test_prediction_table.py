@@ -12,6 +12,7 @@ from fusepool.answers import VoteTable, canonical_answer, model_prediction, plur
 from fusepool.corpus import Corpus, EpisodeRecord, RawPass, TaskKind
 from fusepool.diversity import failure_matrix, failure_vector
 from fusepool.evaluation import answers_equal, plurality_accuracy, single_model_accuracies
+from fusepool.fusion import build_fusion_table
 from fusepool.pruning import build_scorer, enumerate_candidates, mask_members
 
 # Surface forms that share canonical answers ("1,200." == "1200" == "$1,200")
@@ -105,6 +106,22 @@ def test_plurality_accuracy_equals_recount_for_every_mask(corpus):
                    for rec in corpus.records)
         recount = hits / len(corpus.records) if corpus.records else 0.0
         assert table.plurality_accuracy([i for i in range(n) if mask >> i & 1]) == recount
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(corpora(min_episodes=1).filter(lambda c: c.records[0].task.is_mcq))
+def test_mcq_prediction_is_the_argmax_of_its_fusion_block(corpus):
+    # Votes and fusion rows read one answer per member: wherever a member's
+    # confidence block has a unique maximum, its prediction is that choice.
+    k = max([1] + [len(p) for rec in corpus.records for p in rec.passes.values()])
+    table, _ = build_fusion_table(corpus.records, corpus.model_ids, k)
+    by_id = {rec.id: rec for rec in corpus.records}
+    for rec_id, row in zip(table.episode_ids, table.features):
+        rec = by_id[rec_id]
+        blocks = row.reshape(len(corpus.model_ids), rec.task.num_choices)
+        for model, block in zip(corpus.model_ids, blocks):
+            if np.count_nonzero(block == block.max()) == 1:
+                assert model_prediction(rec, model) == int(np.argmax(block))
 
 
 @settings(max_examples=300, deadline=None, database=None)
