@@ -45,6 +45,7 @@ from .pruning import (
     enumerate_candidates,
     fitness,
     ga_prune,
+    search,
 )
 from .summary_prep import (
     AttentionMaskSpec,

@@ -189,7 +189,7 @@ def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
         return first_usable_text(record, model_id)
     provided = (record.provided_choice_probs or {}).get(model_id)
     if provided is not None:
-        return int(np.argmax(provided))
+        return max(range(len(provided)), key=provided.__getitem__)  # first maximum wins
     return next((v for v, _ in Counter(parsed_answers(record, model_id)).most_common(1)), None)
 
 

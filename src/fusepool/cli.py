@@ -29,18 +29,15 @@ from .harvest import (
 )
 from .pruning import (
     GaConfig,
-    brute_force_prune,
     build_scorer,
     diversity_report,
-    ga_prune,
     mask_bitstring,
+    search,
     write_candidates_csv,
 )
 from .summary_prep import serialize_inputs
 
 log = logging.getLogger(__name__)
-
-GA_AUTO_THRESHOLD = 12  # pools above this are pruned genetically by default
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
@@ -217,35 +214,20 @@ def _score_records(args, corpus: Corpus):
 
 
 def cmd_prune(args) -> int:
+    config = GaConfig(population=args.ga_population, plateau_gens=args.ga_plateau, seed=args.seed)
     corpus = _load_checked(args)
     if len(corpus.model_ids) < 2:
         raise ValueError("pruning needs a pool of at least 2 models")
     records = _score_records(args, corpus)
     scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
     n = scorer.n_models
-    method = args.method
-    if method == "auto":
-        method = "bf" if n <= GA_AUTO_THRESHOLD else "ga"
-    if method == "bf":
-        brute_force_prune(scorer, k=1)  # scores every candidate into the memo
-        ranked = scorer.scored()
-    else:
-        config = GaConfig(
-            population=args.ga_population, plateau_gens=args.ga_plateau, seed=args.seed
-        )
-        result = ga_prune(scorer, config, k=args.topk)
-        log.info("GA stopped after %d generations, %d distinct teams scored",
-                 result.generations, result.evaluations)
-        ranked = scorer.scored()
+    method, ranked = search(scorer, args.method, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_candidates_csv(out / "candidates.csv", ranked, n)
     top = ranked[: max(1, args.topk)]
-    if args.random_pick is not None:
-        pick = random.Random(args.random_pick).choice(top)
-    else:
-        pick = top[0]
+    pick = top[0] if args.random_pick is None else random.Random(args.random_pick).choice(top)
     ensemble = {
         "model_ids": corpus.model_ids,
         "members": pick.members(corpus.model_ids),
@@ -354,11 +336,10 @@ def cmd_diversity_report(args) -> int:
     if not records:
         raise ValueError(f"the {args.split} split is empty; adjust the fractions")
     scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
-    failures = scorer.failures
     report = diversity_report(scorer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    failures.to_csv(out / "failure_matrix.csv")
+    scorer.failures.to_csv(out / "failure_matrix.csv")
     write_candidates_csv(out / "diversity_report.csv", report.candidates, scorer.n_models)
     summary = {
         "n_candidates": len(report.candidates),

@@ -18,7 +18,7 @@ from .fusion import (
     fusion_dims,
     train,
 )
-from .pruning import brute_force_prune, build_scorer
+from .pruning import GaConfig, build_scorer, search
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +168,8 @@ def run_split_protocol(
         train_part, val_part, _ = split(train_all, carve, repeat=repeat)
         if members is None:
             scorer = build_scorer(corpus, val_part.records, w1, w2, rule)
-            picked = brute_force_prune(scorer, k=1)[0].members(corpus.model_ids)
+            _, ranked = search(scorer, config=GaConfig(seed=seed + repeat))
+            picked = ranked[0].members(corpus.model_ids)
         else:
             picked = members
         cfg = config or TrainConfig(seed=seed + repeat)

@@ -74,8 +74,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -250,7 +250,8 @@ def train(
 ) -> FusionParameters:
     """Minibatch training; returns the parameters with the best validation loss.
 
-    With no validation examples the training loss is tracked instead.
+    With no validation examples the training loss is tracked instead. A
+    held-out loss that is not finite means training diverged, and raises.
     """
     if len(train_data) == 0:
         raise ValueError("training set is empty")
@@ -276,6 +277,11 @@ def train(
             )
             opt.step(params, _flatten(grads))
         val_loss = _mean_loss(params, held_out)
+        if not np.isfinite(val_loss):
+            raise ValueError(
+                f"training diverged at epoch {epoch + 1}: held-out loss is {val_loss}; "
+                "lower the learning rate"
+            )
         if val_loss < best_loss:
             best_loss = val_loss
             best = params.copy()

@@ -16,8 +16,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-import requests
-
 from .answers import canonical_answer
 from .corpus import Corpus, EpisodeRecord, RawPass, TaskKind
 from .metrics import bleu1
@@ -112,6 +110,8 @@ def _request_completion(
     rng: random.Random,
 ) -> str | None:
     """One pass against one endpoint; None when every attempt failed."""
+    import requests  # only harvesting sends; every other stage skips the import
+
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     key = endpoint.api_key()
@@ -200,7 +200,9 @@ def harvest(
     """Collect K passes per model per query; returns a new corpus.
 
     The input corpus is never mutated; its prompts, choices, and ground
-    truths carry over unchanged and only the pass maps are replaced.
+    truths carry over unchanged. A harvested model's new passes replace its
+    old passes and its provided vector, so the passes are what it answers
+    with; every other model keeps its passes and its vector.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -221,8 +223,11 @@ def harvest(
                 )
                 for e in endpoints
             }
-            passes = {name: futures[name].result() for name in names}
-            out_records.append(replace(record, passes=passes))
+            passes = {**record.passes, **{name: futures[name].result() for name in names}}
+            probs = record.provided_choice_probs
+            if probs is not None:
+                probs = {m: p for m, p in probs.items() if m not in futures} or None
+            out_records.append(replace(record, passes=passes, provided_choice_probs=probs))
     model_ids = list(queries.model_ids)
     for name in names:
         if name not in model_ids:

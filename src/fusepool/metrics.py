@@ -5,15 +5,15 @@ Two tokenizations are deliberately distinct:
 * ``tokenize`` lowercases, strips punctuation, and splits on whitespace.
   It feeds BLEU-1, ROUGE, and unigram recall, where articles carry signal.
 * ``normalize_answer`` additionally drops the articles a/an/the and
-  collapses whitespace (SQuAD-style). It feeds exact match and token F1,
-  where "the solitaire" and "solitaire" must compare equal.
+  collapses whitespace (SQuAD-style). It feeds token F1, where
+  "the solitaire" and "solitaire" must compare equal.
 """
 from __future__ import annotations
 
 import math
 import re
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 _PUNCT_RE = re.compile(r"[!\"#$%&'()*+,\-./:;<=>?@\[\\\]^_`{|}~]")
 _ARTICLES = {"a", "an", "the"}
@@ -28,10 +28,6 @@ def normalize_answer(text: str) -> str:
     """SQuAD-style normalization: lowercase, no punctuation, no articles."""
     tokens = [t for t in tokenize(text) if t not in _ARTICLES]
     return " ".join(tokens)
-
-
-def exact_match(pred: str, gold: str) -> bool:
-    return normalize_answer(pred) == normalize_answer(gold)
 
 
 def token_f1(pred: str, gold: str) -> float:
@@ -139,13 +135,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         return float("nan")
     return sxy / math.sqrt(sxx * syy)
 
-
-def accuracy(preds: Sequence, golds: Sequence, equal: Callable | None = None) -> float:
-    """Fraction of predictions matching gold under ``equal`` (default ``==``)."""
-    if len(preds) != len(golds):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    if not preds:
-        return 0.0
-    if equal is None:
-        equal = lambda a, b: a == b
-    return sum(1 for p, g in zip(preds, golds) if equal(p, g)) / len(preds)

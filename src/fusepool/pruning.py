@@ -12,6 +12,7 @@ per-bit mutation, scoring each generation at once and memoizing per mask.
 from __future__ import annotations
 
 import csv
+import logging
 import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
@@ -23,7 +24,10 @@ from .corpus import Corpus, EpisodeRecord, task_of
 from .diversity import CoFailureCounts, FailureMatrix, FailureRule, failure_matrix
 from .metrics import pearson
 
+log = logging.getLogger(__name__)
+
 BRUTE_FORCE_MAX_POOL = 22
+GA_AUTO_THRESHOLD = 12  # pools above this are pruned genetically by default
 
 
 def candidate_count(n: int) -> int:
@@ -57,7 +61,7 @@ def fitness(
     """Convex combination w1 * diversity + w2 * accuracy.
 
     Without a validation accuracy (generative tasks) the score is the
-    diversity alone, i.e. w1 is treated as 1.
+    diversity alone, i.e. w1 is treated as 1. Arrays score elementwise.
     """
     for name, w in (("w1", w1), ("w2", w2)):
         if not 0.0 <= w <= 1.0:
@@ -129,18 +133,17 @@ class CandidateScorer:
             if not 0 <= mask < 1 << self.n_models or mask.bit_count() < 2:
                 raise ValueError(f"mask {mask:#x} is not a team of at least 2 pool models")
         if new:
-            lams = self._counts.focal_diversities(new).tolist()
-            if self.accuracy_fn is None:
-                accs = [None] * len(new)
-            else:
-                accs = np.asarray(self.accuracy_fn(new), dtype=np.float64).tolist()
-            for mask, lam, acc in zip(new, lams, accs):
+            lams = self._counts.focal_diversities(new)
+            accs = None if self.accuracy_fn is None else np.asarray(self.accuracy_fn(new), float)
+            fits = fitness(lams, accs, self.w1, self.w2).tolist()
+            accs = [None] * len(new) if accs is None else accs.tolist()
+            for mask, lam, acc, fit in zip(new, lams.tolist(), accs, fits):
                 self._memo[mask] = EnsembleCandidate(
                     mask=mask,
                     size=mask.bit_count(),
                     focal_diversity=lam,
                     val_accuracy=acc,
-                    fitness=fitness(lam, acc, self.w1, self.w2),
+                    fitness=fit,
                 )
         return [self._memo[m] for m in masks]
 
@@ -183,8 +186,8 @@ def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandi
             f"pool of {n} models means {candidate_count(n)} candidates; "
             "use ga_prune for pools this large"
         )
-    ranked = sorted(scorer.score_masks(list(enumerate_candidates(n))), key=_rank_key)
-    return ranked[:k]
+    scorer.score_masks(list(enumerate_candidates(n)))
+    return scorer.scored()[:k]
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ class GaConfig:
 class GaResult:
     top: list[EnsembleCandidate]
     generations: int
-    evaluations: int  # distinct masks scored during this run
+    evaluations: int  # masks the scorer scored new during this run
     plateau_terminated: bool
 
 
@@ -237,7 +240,7 @@ def ga_prune(scorer: CandidateScorer, config: GaConfig, k: int = 1) -> GaResult:
     crossover between random elites followed by per-bit mutation, with
     undersized chromosomes repaired. Stops when the best fitness has not
     improved for ``plateau_gens`` generations or at ``max_gens``. Returns the
-    k best distinct candidates ever evaluated.
+    k best candidates in the scorer's memo: this run's, for a fresh scorer.
     """
     if config.population < k:
         raise ValueError("population must be >= k")
@@ -249,16 +252,14 @@ def ga_prune(scorer: CandidateScorer, config: GaConfig, k: int = 1) -> GaResult:
         _repair(rng.getrandbits(n), n, rng) for _ in range(config.population)
     ]
     n_elite = max(2, round(config.population * config.elite_frac))
-    visited: dict[int, EnsembleCandidate] = {}
+    scored_before = scorer.evaluations
     best: EnsembleCandidate | None = None
     stagnant = 0
     generations = 0
     plateau_terminated = False
 
     for generations in range(1, config.max_gens + 1):
-        scored = scorer.score_masks(population)
-        visited.update((c.mask, c) for c in scored)
-        ranked = sorted(scored, key=_rank_key)
+        ranked = sorted(scorer.score_masks(population), key=_rank_key)
         gen_best = ranked[0]
         if best is None or gen_best.fitness > best.fitness:
             best = gen_best
@@ -279,13 +280,29 @@ def ga_prune(scorer: CandidateScorer, config: GaConfig, k: int = 1) -> GaResult:
             offspring.append(_repair(child, n, rng))
         population = [e.mask for e in elites] + offspring
 
-    top = sorted(visited.values(), key=_rank_key)[:k]
     return GaResult(
-        top=top,
+        top=scorer.scored()[:k],
         generations=generations,
-        evaluations=len(visited),
+        evaluations=scorer.evaluations - scored_before,
         plateau_terminated=plateau_terminated,
     )
+
+
+def search(
+    scorer: CandidateScorer, method: str = "auto", config: GaConfig = GaConfig()
+) -> tuple[str, list[EnsembleCandidate]]:
+    """The method run ("auto": bf up to ``GA_AUTO_THRESHOLD`` models, ga
+    above) and the scorer's ranking of every candidate the search scored."""
+    if method == "auto":
+        method = "bf" if scorer.n_models <= GA_AUTO_THRESHOLD else "ga"
+    if method == "bf":
+        return method, brute_force_prune(scorer, k=candidate_count(scorer.n_models))
+    if method != "ga":
+        raise ValueError(f"unknown search method {method!r}; expected auto, bf or ga")
+    result = ga_prune(scorer, config)
+    log.info("GA stopped after %d generations, %d distinct teams scored",
+             result.generations, result.evaluations)
+    return method, scorer.scored()
 
 
 def write_candidates_csv(

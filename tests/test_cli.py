@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fusepool
 from fusepool import evaluation, fusion
 from fusepool.cli import main
 from fusepool.corpus import load_corpus, save_corpus
@@ -378,3 +383,34 @@ def test_task_flag_validates_corpus_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mcq" in err and "oeq" in err
     assert run("prune", "--corpus", path, "--out", tmp_path / "o", "--task", "mcq") == 0
+
+
+def test_prune_topk_above_ga_population_on_a_large_pool(tmp_path):
+    # The GA ranks every team it visited; --topk only bounds the pick.
+    path = tmp_path / "pool14.jsonl"
+    save_corpus(correlated_pool(14, 60, n_clones=4, seed=5), path)
+    out = tmp_path / "run"
+    assert run("prune", "--corpus", path, "--out", out, "--topk", "60",
+               "--ga-population", "20", "--ga-plateau", "10") == 0
+    assert json.loads((out / "ensemble.json").read_text())["method"] == "ga"
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "1e300"])
+def test_train_weighted_refuses_a_rate_that_cannot_train(tmp_path, capsys, rate):
+    path = tmp_path / "pool.jsonl"
+    save_corpus(correlated_pool(4, 60, seed=0), path)
+    out = tmp_path / "run"
+    assert run("prune", "--corpus", path, "--out", out) == 0
+    capsys.readouterr()
+    assert run("train-weighted", "--corpus", path, "--out", out, "--epochs", "5",
+               "--learning-rate", rate) == 2
+    assert "learning" in capsys.readouterr().err
+    assert not (out / "fusion_params.json").exists()
+
+
+def test_importing_the_cli_does_not_load_requests():
+    code = "import sys, fusepool.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fusepool.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"

@@ -11,7 +11,12 @@ from fusepool.evaluation import (
     train_and_score_split,
 )
 from fusepool.fusion import TrainConfig, init_params
-from fusepool.synthetic import complementary_experts, oeq_pool, separable_confidences
+from fusepool.synthetic import (
+    complementary_experts,
+    correlated_pool,
+    oeq_pool,
+    separable_confidences,
+)
 
 from test_corpus import mcq_record, oeq_record
 from test_answers import ok_pass
@@ -96,6 +101,16 @@ class TestSplitProtocol:
             config=TrainConfig(epochs=30, seed=2),
         )
         assert len(accs) == 1
+
+    def test_protocol_prunes_a_pool_too_large_for_exact_search(self, caplog):
+        corpus = correlated_pool(24, 300, seed=1)
+        with caplog.at_level("INFO"):
+            accs = run_split_protocol(
+                corpus, members=None, repeats=1, k=1, seed=0,
+                config=TrainConfig(epochs=5, seed=0),
+            )
+        assert len(accs) == 1
+        assert "GA stopped" in caplog.text
 
     def test_oeq_protocol_runs(self):
         corpus = oeq_pool(3, 200, k=5, seed=7)

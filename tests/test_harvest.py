@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from fusepool.corpus import Corpus
+from fusepool.cli import main
+from fusepool.corpus import Corpus, load_corpus, save_corpus
 from fusepool.harvest import (
     AuthError,
     EndpointConfig,
@@ -19,6 +20,7 @@ from fusepool.harvest import (
     select_fraction,
 )
 
+from test_answers import ok_pass
 from test_corpus import mcq_record, oeq_record
 
 
@@ -157,6 +159,29 @@ class TestHarvest:
         assert stub.requests[-1]["temperature"] == 0.7
         harvest(queries(1), [endpoint(stub, "m", temperature=0.2)], k=1)
         assert stub.requests[-1]["temperature"] == 0.2
+
+    def test_harvest_keeps_the_models_it_did_not_harvest(self, stub, tmp_path):
+        # Each record holds passes for "old" and a vector for "vec"; harvesting
+        # "new" and "vec" replaces vec's vector by its passes and keeps old's.
+        records = [mcq_record(f"q{i}", gold=2, passes={"old": [ok_pass(1)]},
+                              probs={"vec": [0.7, 0.1, 0.1, 0.1]}) for i in range(3)]
+        corpus_path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records=records, model_ids=["old", "vec"]), corpus_path)
+        stub.set("new", ("ok", "The answer is (C)."))
+        stub.set("vec", ("ok", "The answer is (C)."))
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps([{"base_url": stub.base_url, "model_name": name}
+                                         for name in ("new", "vec")]))
+        out_path = tmp_path / "h.jsonl"
+        assert main(["harvest", "--corpus", str(corpus_path), "--endpoints", str(endpoints),
+                     "--out-corpus", str(out_path), "--k-passes", "2"]) == 0
+        out = load_corpus(out_path)
+        assert out.model_ids == ["old", "vec", "new"]
+        for rec in out.records:
+            assert [p.parsed for p in rec.passes["old"]] == [1]
+            assert [p.parsed for p in rec.passes["vec"]] == [2, 2]
+            assert [p.parsed for p in rec.passes["new"]] == [2, 2]
+            assert rec.provided_choice_probs is None
 
     def test_validation(self, stub):
         with pytest.raises(ValueError):

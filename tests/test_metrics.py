@@ -4,25 +4,12 @@ import random
 import pytest
 
 from fusepool.metrics import (
-    accuracy,
     bleu1,
-    exact_match,
     pearson,
     rouge,
     token_f1,
     unigram_recall,
 )
-
-
-class TestExactMatch:
-    def test_case_and_whitespace(self):
-        assert exact_match("Solitaire ", "solitaire")
-
-    def test_article_stripped(self):
-        assert exact_match("the solitaire", "solitaire")
-
-    def test_different_answers(self):
-        assert not exact_match("Uno", "solitaire")
 
 
 class TestTokenF1:
@@ -112,23 +99,6 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_none_correct(self):
-        assert accuracy([1, 2], [2, 1]) == 0.0
-
-    def test_fractional(self):
-        golds = list(range(100))
-        preds = list(range(79)) + [-1] * 21
-        assert accuracy(preds, golds) == pytest.approx(0.79)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy([1], [1, 2])
 
 
 def test_bounds_and_identity_are_maximal():

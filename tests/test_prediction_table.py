@@ -124,6 +124,13 @@ def test_mcq_prediction_is_the_argmax_of_its_fusion_block(corpus):
                 assert model_prediction(rec, model) == int(np.argmax(block))
 
 
+def test_provided_vector_tied_maximum_goes_to_the_first_choice():
+    rec = EpisodeRecord(id="e0", task=TaskKind.mcq(4), prompt="q", ground_truth=0,
+                        choices=["a", "b", "c", "d"],
+                        provided_choice_probs={"m": [0.1, 0.4, 0.1, 0.4]})
+    assert model_prediction(rec, "m") == 1
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.one_of(oeq_answers, st.text()))
 def test_canonical_answer_is_a_fixed_point(text):

@@ -4,6 +4,7 @@ import pytest
 from fusepool.diversity import FailureMatrix, failure_matrix
 from fusepool.pruning import (
     BRUTE_FORCE_MAX_POOL,
+    GA_AUTO_THRESHOLD,
     CandidateScorer,
     GaConfig,
     VoteTable,
@@ -15,6 +16,7 @@ from fusepool.pruning import (
     ga_prune,
     mask_bitstring,
     plurality_accuracy_fn,
+    search,
     write_candidates_csv,
 )
 from fusepool.synthetic import correlated_pool
@@ -232,6 +234,43 @@ class TestGa:
             GaConfig(population=2)
         with pytest.raises(ValueError):
             GaConfig(mutation_rate=1.5)
+
+
+class TestSearch:
+    def test_auto_runs_bf_up_to_the_threshold_and_ga_above(self):
+        assert GA_AUTO_THRESHOLD == 12
+        method, ranked = search(CandidateScorer(random_failures(12, n_episodes=40), None))
+        assert method == "bf" and len(ranked) == candidate_count(12)
+        scorer = CandidateScorer(random_failures(13, n_episodes=40), None)
+        method, ranked = search(scorer, config=GaConfig(seed=0, plateau_gens=10))
+        assert method == "ga" and len(ranked) == scorer.evaluations < candidate_count(13)
+
+    def test_ranking_is_the_scorers_and_ga_top_heads_it(self):
+        failures = random_failures(9, seed=3)
+        scorer = CandidateScorer(failures, None)
+        _, ranked = search(scorer, "ga", GaConfig(seed=4))
+        assert ranked == scorer.scored()
+        fresh = CandidateScorer(failures, None)
+        result = ga_prune(fresh, GaConfig(seed=4), k=3)
+        assert result.top == ranked[:3]
+        assert result.evaluations == len(ranked)
+
+    def test_bf_ranking_matches_brute_force_top(self):
+        failures = random_failures(6, seed=5)
+        _, ranked = search(CandidateScorer(failures, None), "bf")
+        assert ranked[:4] == brute_force_prune(CandidateScorer(failures, None), k=4)
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="unknown search method"):
+            search(CandidateScorer(random_failures(4), None), "greedy")
+
+    def test_block_fitness_matches_the_per_mask_rule(self):
+        failures = random_failures(7, seed=6)
+        rng = np.random.default_rng(7)
+        accs = {mask: float(rng.random()) for mask in enumerate_candidates(7)}
+        scorer = CandidateScorer(failures, lambda masks: [accs[m] for m in masks], 0.3, 0.7)
+        for c in scorer.score_masks(list(enumerate_candidates(7))):
+            assert c.fitness == fitness(c.focal_diversity, c.val_accuracy, 0.3, 0.7)
 
 
 class TestReports:
