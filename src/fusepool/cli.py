@@ -40,6 +40,26 @@ from .summary_prep import serialize_inputs
 log = logging.getLogger(__name__)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _percent(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value <= 100:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a percent in (0, 100], got {text}")
+    return value
+
+
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--val-frac", type=float, default=0.15)
@@ -65,11 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flag(p)
     p.add_argument("--endpoints", required=True, help="JSON list of endpoint configs")
     p.add_argument("--out-corpus", required=True)
-    p.add_argument("--k-passes", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=100.0,
+    p.add_argument("--k-passes", type=_positive_int, default=1)
+    p.add_argument("--alpha", type=_percent, default=100.0,
                    help="percent of queries to harvest")
     p.add_argument("--template-file", help="prompt template text file")
-    p.add_argument("--max-in-flight", type=int, default=16)
+    p.add_argument("--max-in-flight", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("prune", help="rank candidate sub-ensembles")
@@ -93,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--k-passes", type=int, default=1)
+    p.add_argument("--k-passes", type=_positive_int, default=1)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
@@ -106,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--k-passes", type=int, default=1)
+    p.add_argument("--k-passes", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_split_flags(p)
 

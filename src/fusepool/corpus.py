@@ -141,10 +141,16 @@ class EpisodeRecord:
                     n_probs = len(probs)
                     negative = any(p < 0 for p in probs)
                     total = sum(probs)
+                    off_by = abs(total - 1.0)
                 except TypeError:
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         "must be a list of numbers"
+                    ) from None
+                except OverflowError:  # an integer entry beyond the float range
+                    raise SchemaError(
+                        f"record {self.id}: provided_choice_probs[{model_id}]: "
+                        "an entry is too large for a float"
                     ) from None
                 if n_probs != self.task.num_choices:
                     raise SchemaError(
@@ -156,7 +162,7 @@ class EpisodeRecord:
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         "negative entry"
                     )
-                if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN sum fails too
+                if not off_by <= PROB_SUM_TOL:  # a NaN sum fails too
                     raise SchemaError(
                         f"record {self.id}: provided_choice_probs[{model_id}]: "
                         f"sums to {total:.6f}, expected 1"

@@ -242,6 +242,9 @@ def _mean_loss(params: FusionParameters, data: FusionData) -> float:
     return _cross_entropy(forward(params, data.features, data.active), data.targets)
 
 
+# A diverging step overflows or takes log(0); the held-out check below turns
+# that into an error, so numpy need not warn first. Set once per call, not per step.
+@np.errstate(all="ignore")
 def train(
     train_data: FusionData,
     val_data: FusionData | None,

@@ -1,19 +1,27 @@
 """K-pass output collection from OpenAI-compatible chat-completion endpoints.
 
-For each query, one request per model is in flight at a time and the models
-run concurrently, so per-query wall time tracks the slowest model rather
-than the sum. Transient failures retry with jittered exponential backoff;
-a pass that exhausts its retries is recorded with status "missing", never
-dropped. Authentication failures abort the harvest naming the endpoint.
+A harvest is one work queue of (query, model) pass chains; a chain requests
+its K passes one after another. Two bounds hold at every instant: at most
+``max_in_flight`` requests in the whole run, and at most one per endpoint.
+A free worker takes the lowest (query, model) chain that is ready and whose
+endpoint is idle, so no query waits for another's slowest model. A failed
+request puts its chain back with a not-before time (jittered exponential
+backoff) instead of sleeping in the worker, so a pending retry holds no
+slot. A pass that exhausts its retries is recorded with status "missing",
+never dropped. A pass's ``latency_s`` is the summed round-trip time of its
+requests, failed attempts included; the backoff and queue waits between
+them are not. An authentication failure stops the harvest: no new request
+starts, the ones in flight finish, and ``AuthError`` names the endpoint.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 import os
 import random
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .answers import canonical_answer
@@ -96,20 +104,16 @@ def default_template(task: TaskKind) -> PromptTemplate:
     return PromptTemplate(task=task, template_text=text)
 
 
-def _backoff_sleep(attempt: int, base_s: float, cap_s: float, rng: random.Random) -> None:
+def _backoff_delay(attempt: int, base_s: float, cap_s: float, rng: random.Random) -> float:
+    """Jittered exponential wait after failed attempt ``attempt`` (0-based)."""
     delay = min(cap_s, base_s * 2**attempt)
-    time.sleep(delay * (0.5 + rng.random() / 2))
+    return delay * (0.5 + rng.random() / 2)
 
 
 def _request_completion(
-    endpoint: EndpointConfig,
-    prompt: str,
-    temperature: float,
-    backoff_base_s: float,
-    backoff_cap_s: float,
-    rng: random.Random,
+    endpoint: EndpointConfig, prompt: str, temperature: float, attempt: int
 ) -> str | None:
-    """One pass against one endpoint; None when every attempt failed."""
+    """One request to one endpoint; None when it failed and may be retried."""
     import requests  # only harvesting sends; every other stage skips the import
 
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
@@ -123,26 +127,19 @@ def _request_completion(
         "temperature": temperature,
         "max_tokens": endpoint.max_tokens,
     }
-    for attempt in range(endpoint.max_retries + 1):
-        try:
-            resp = requests.post(
-                url, json=payload, headers=headers, timeout=endpoint.timeout_s
+    try:
+        resp = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout_s)
+        if resp.status_code in (401, 403):
+            raise AuthError(
+                f"authentication failed for {endpoint.base_url} "
+                f"(model {endpoint.model_name}, key env {endpoint.api_key_env!r})"
             )
-            if resp.status_code in (401, 403):
-                raise AuthError(
-                    f"authentication failed for {endpoint.base_url} "
-                    f"(model {endpoint.model_name}, key env {endpoint.api_key_env!r})"
-                )
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except AuthError:
-            raise
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            log.warning("%s attempt %d/%d failed: %s", endpoint.model_name,
-                        attempt + 1, endpoint.max_retries + 1, exc)
-            if attempt < endpoint.max_retries:
-                _backoff_sleep(attempt, backoff_base_s, backoff_cap_s, rng)
-    return None
+        resp.raise_for_status()
+        return resp.json()["choices"][0]["message"]["content"]
+    except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        log.warning("%s attempt %d/%d failed: %s", endpoint.model_name,
+                    attempt + 1, endpoint.max_retries + 1, exc)
+        return None
 
 
 def parse_pass(raw_text: str | None, task: TaskKind, choices: list[str] | None,
@@ -160,31 +157,137 @@ def parse_pass(raw_text: str | None, task: TaskKind, choices: list[str] | None,
     return RawPass(raw_text=raw_text, parsed=parsed, latency_s=latency_s, status=status)
 
 
-def _harvest_model(
-    endpoint: EndpointConfig,
-    record: EpisodeRecord,
-    k: int,
-    template: PromptTemplate,
-    backoff_base_s: float,
-    backoff_cap_s: float,
-    seed: int,
-) -> list[RawPass]:
-    prompt = template.render(record)
-    temperature = endpoint.temperature
-    if temperature is None:
-        temperature = 0.7 if k > 1 else 0.0
-    rng = random.Random(f"{seed}:{endpoint.model_name}:{record.id}")
-    passes = []
-    for _ in range(k):
+@dataclass
+class _Chain:
+    """The pass being requested for one (query, model) pair."""
+
+    prompt: str
+    rng: random.Random  # backoff jitter, drawn across all of the chain's passes
+    attempt: int = 0
+    spent_s: float = 0.0  # round-trip time of this pass's attempts so far
+
+
+class _PassQueue:
+    """The (query, model) pass chains of one harvest, served by a few workers.
+
+    A free worker takes the lowest (query, model) chain that is ready and
+    whose endpoint has no request in flight, sends one request and puts the
+    chain back: ready for its next pass, finished after K passes, or waiting
+    for a not-before time after a failure that has retries left. So a retry
+    holds no worker while it waits, and no query waits for another.
+    """
+
+    def __init__(self, records: list[EpisodeRecord], endpoints: list[EndpointConfig], k: int,
+                 templates: list[PromptTemplate], backoff_base_s: float,
+                 backoff_cap_s: float, seed: int) -> None:
+        self.records = records
+        self.endpoints = endpoints
+        self.k = k
+        self.templates = templates
+        self.backoff = (backoff_base_s, backoff_cap_s)
+        self.seed = seed
+        self.temperatures = [
+            e.temperature if e.temperature is not None else (0.7 if k > 1 else 0.0)
+            for e in endpoints
+        ]
+        self.passes: list[list[list[RawPass]]] = [[[] for _ in endpoints] for _ in records]
+        self.error: BaseException | None = None
+        self._ready = [list(range(len(records))) for _ in endpoints]  # heaps of query indices
+        self._waiting: list[list[tuple[float, int]]] = [[] for _ in endpoints]  # (not_before, q)
+        self._busy = [False] * len(endpoints)
+        self._chains: dict[tuple[int, int], _Chain] = {}
+        self._left = len(records) * len(endpoints)  # chains without all K passes
+        self._stopped = False
+        self._cond = threading.Condition()
+
+    def run(self, workers: int) -> None:
+        """Serve every chain with ``workers`` threads, all joined before returning."""
+        threads = [threading.Thread(target=self._work, name=f"harvest-{i}", daemon=True)
+                   for i in range(workers)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:  # on an interrupt, no new request starts; the ones in flight finish
+            self._stop(None)
+            for t in threads:
+                if t.is_alive():
+                    t.join()
+        if self.error is not None:
+            raise self.error
+
+    def _stop(self, error: BaseException | None) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = error
+            self._stopped = True
+            self._cond.notify_all()
+
+    def _take(self) -> tuple[int, int, _Chain] | None:
+        """Wait for a chain to serve, holding the lock; None once the run is over."""
+        while not self._stopped and self._left:
+            now = time.monotonic()
+            best = None
+            wake = None
+            for m, (ready, waiting) in enumerate(zip(self._ready, self._waiting)):
+                if self._busy[m]:
+                    continue
+                while waiting and waiting[0][0] <= now:
+                    heapq.heappush(ready, heapq.heappop(waiting)[1])
+                if ready and (best is None or ready[0] < best[0]):
+                    best = (ready[0], m)
+                if waiting and (wake is None or waiting[0][0] < wake):
+                    wake = waiting[0][0]
+            if best is not None:
+                q, m = best
+                heapq.heappop(self._ready[m])
+                self._busy[m] = True
+                chain = self._chains.get((q, m))
+                if chain is None:
+                    record = self.records[q]
+                    rng_key = f"{self.seed}:{self.endpoints[m].model_name}:{record.id}"
+                    chain = self._chains[q, m] = _Chain(
+                        prompt=self.templates[q].render(record), rng=random.Random(rng_key)
+                    )
+                return q, m, chain
+            self._cond.wait(None if wake is None else wake - now)
+        return None
+
+    def _work(self) -> None:
+        try:  # a template that fails to render raises in _take
+            while True:
+                with self._cond:
+                    unit = self._take()
+                if unit is None:
+                    return
+                self._serve(*unit)
+        except BaseException as exc:  # harvest() re-raises it after the join
+            self._stop(exc)
+
+    def _serve(self, q: int, m: int, chain: _Chain) -> None:
+        endpoint, record = self.endpoints[m], self.records[q]
         start = time.monotonic()
-        text = _request_completion(
-            endpoint, prompt, temperature, backoff_base_s, backoff_cap_s, rng
-        )
-        passes.append(
-            parse_pass(text, record.task, record.choices,
-                       latency_s=time.monotonic() - start)
-        )
-    return passes
+        text = _request_completion(endpoint, chain.prompt, self.temperatures[m], chain.attempt)
+        chain.spent_s += time.monotonic() - start
+        not_before = None
+        if text is None and chain.attempt < endpoint.max_retries:
+            not_before = time.monotonic() + _backoff_delay(chain.attempt, *self.backoff, chain.rng)
+            chain.attempt += 1
+        else:
+            done = self.passes[q][m]
+            done.append(parse_pass(text, record.task, record.choices, latency_s=chain.spent_s))
+            chain.attempt, chain.spent_s = 0, 0.0
+        with self._cond:
+            if not_before is not None:
+                heapq.heappush(self._waiting[m], (not_before, q))
+            elif len(done) < self.k:
+                heapq.heappush(self._ready[m], q)
+            else:
+                del self._chains[q, m]
+                self._left -= 1
+            self._busy[m] = False
+            self._cond.notify_all()
 
 
 def harvest(
@@ -206,28 +309,24 @@ def harvest(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be >= 1")
     if not endpoints:
         raise ValueError("need at least one endpoint")
     names = [e.model_name for e in endpoints]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names across endpoints")
+    records = queries.records
+    templates = [template or default_template(record.task) for record in records]
+    queue = _PassQueue(records, endpoints, k, templates, backoff_base_s, backoff_cap_s, seed)
+    queue.run(workers=min(len(endpoints), max_in_flight))
     out_records = []
-    workers = min(len(endpoints), max_in_flight)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for record in queries.records:
-            tmpl = template or default_template(record.task)
-            futures = {
-                e.model_name: pool.submit(
-                    _harvest_model, e, record, k, tmpl,
-                    backoff_base_s, backoff_cap_s, seed,
-                )
-                for e in endpoints
-            }
-            passes = {**record.passes, **{name: futures[name].result() for name in names}}
-            probs = record.provided_choice_probs
-            if probs is not None:
-                probs = {m: p for m, p in probs.items() if m not in futures} or None
-            out_records.append(replace(record, passes=passes, provided_choice_probs=probs))
+    for record, harvested_passes in zip(records, queue.passes):
+        passes = {**record.passes, **dict(zip(names, harvested_passes))}
+        probs = record.provided_choice_probs
+        if probs is not None:
+            probs = {m: p for m, p in probs.items() if m not in names} or None
+        out_records.append(replace(record, passes=passes, provided_choice_probs=probs))
     model_ids = list(queries.model_ids)
     for name in names:
         if name not in model_ids:

@@ -183,8 +183,10 @@ def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandi
     n = scorer.n_models
     if n > BRUTE_FORCE_MAX_POOL:
         raise ValueError(
-            f"pool of {n} models means {candidate_count(n)} candidates; "
-            "use ga_prune for pools this large"
+            f"pool of {n} models means {candidate_count(n)} candidates, and brute force "
+            f"stops at {BRUTE_FORCE_MAX_POOL} models: rank this pool with the genetic "
+            "search (`prune --method ga`; `ga_prune` in code). diversity-report scores "
+            f"every candidate, so it also stops at {BRUTE_FORCE_MAX_POOL} models"
         )
     scorer.score_masks(list(enumerate_candidates(n)))
     return scorer.scored()[:k]

@@ -227,6 +227,7 @@ class TestErrors:
         {**GOOD_MCQ, "provided_choice_probs": [0.5, 0.5]},
         {**GOOD_MCQ, "provided_choice_probs": {"m2": ["0.5", "0.5"]}},
         {**GOOD_MCQ, "provided_choice_probs": {"m2": [float("nan"), 0.5]}},
+        {**GOOD_MCQ, "provided_choice_probs": {"m2": [10**400, 0]}},
         {**GOOD_MCQ, "ground_truth": True},
         {**GOOD_MCQ, "prompt": 5},
         {**GOOD_MCQ, "choices": ["a", 2]},
@@ -239,7 +240,7 @@ class TestErrors:
         {"id": "q2", "task": "gq", "prompt": "p", "ground_truth": "three",
          "passes": {"m1": [{"raw_text": "3", "parsed": 3}]}},
     ], ids=["not-an-object", "passes-list", "passes-number", "pass-list-number", "probs-list",
-            "probs-strings", "probs-nan", "mcq-gold-bool", "prompt-number",
+            "probs-strings", "probs-nan", "probs-int-overflow", "mcq-gold-bool", "prompt-number",
             "choice-number", "raw-text-number", "mcq-parsed-out-of-range",
             "mcq-parsed-letter", "mcq-parsed-bool", "oeq-parsed-list", "gq-parsed-int"])
     def test_malformed_corpus_line_is_named(self, tmp_path, capsys, stage, line):
@@ -266,6 +267,34 @@ class TestErrors:
         assert "ensemble.json" in err and "prune" in err and "other-0" in err
         assert not (out / "summary_inputs.jsonl").exists()
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["harvest", "--max-in-flight", "0"], "--max-in-flight"),
+        (["harvest", "--k-passes", "0"], "--k-passes"),
+        (["harvest", "--alpha", "150"], "--alpha"),
+        (["harvest", "--alpha", "nan"], "--alpha"),
+        (["harvest", "--alpha", "0"], "--alpha"),
+        (["train-weighted", "--k-passes", "0"], "--k-passes"),
+        (["evaluate", "--k-passes", "-3"], "--k-passes"),
+    ])
+    def test_numeric_flag_out_of_range_is_named(self, tmp_path, capsys, argv, flag):
+        paths = ["--corpus", tmp_path / "c.jsonl"]
+        paths += (["--endpoints", tmp_path / "e.json", "--out-corpus", tmp_path / "h.jsonl"]
+                  if argv[0] == "harvest" else ["--out", tmp_path / "o"])
+        with pytest.raises(SystemExit) as err:
+            run(*argv, *paths)
+        assert err.value.code == 2
+        assert f"argument {flag}: must be a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["prune", "--method", "bf"],
+                                      ["diversity-report", "--split", "all"]])
+    def test_brute_force_cap_names_the_genetic_search(self, tmp_path, capsys, argv):
+        path = tmp_path / "pool24.jsonl"
+        save_corpus(correlated_pool(24, 40, n_clones=12, seed=1), path)
+        assert run(*argv, "--corpus", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "stops at 22 models" in err and "`prune --method ga`" in err
+        assert "diversity-report scores every candidate" in err
 
     def test_unknown_flag_exits_nonzero(self, pool_corpus):
         with pytest.raises(SystemExit) as err:
@@ -318,6 +347,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value, message", [
         ("epochs", 2.5, "invalid int value: '2.5'"),
         ("optimizer", "adamw", "invalid choice: 'adamw'"),
+        ("k-passes", 0, "must be a positive integer, got 0"),
     ])
     def test_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus, capsys,
                                                       key, value, message):

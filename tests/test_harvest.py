@@ -1,7 +1,10 @@
 import copy
 import json
 import random
+import sys
 import threading
+import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -24,35 +27,63 @@ from test_answers import ok_pass
 from test_corpus import mcq_record, oeq_record
 
 
+@dataclass(frozen=True)
+class Call:
+    model: str
+    prompt: str
+    arrived: float
+    replied: float
+    status: int
+
+
 class StubEndpoint:
     """Scripted chat-completions server: per-model behaviors keyed by model name.
 
-    A behavior is ("ok", text), ("fail", n_failures_then_text) or ("auth",).
+    A behavior is ("ok", text), ("fail", n_failures_then_text), ("auth",) or
+    ("count",), whose n-th reply to a (model, prompt) key says "reply n". A
+    model's first ``failures`` requests get HTTP 500 under "fail" and "count".
+    Each request waits the model's ``delay`` seconds before its reply, and
+    ``log`` stamps its arrival and reply on the monotonic clock.
     """
 
     def __init__(self):
         self.behaviors = {}
         self.failures_left = {}
+        self.delays = {}
+        self.replies = {}
         self.requests = []
+        self.log = []
+        self.lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                arrived = time.monotonic()
                 model = body["model"]
+                prompt = body["messages"][0]["content"]
                 stub.requests.append(body)
+                time.sleep(stub.delays.get(model, 0.0))
                 behavior = stub.behaviors.get(model, ("ok", "stub says hi"))
-                if behavior[0] == "auth":
-                    self.send_response(401)
+                with stub.lock:
+                    if behavior[0] == "auth":
+                        status = 401
+                    elif behavior[0] in ("fail", "count") and stub.failures_left.get(model, 0):
+                        stub.failures_left[model] -= 1
+                        status = 500
+                    else:
+                        status = 200
+                    if behavior[0] == "count" and status == 200:
+                        n = stub.replies.get((model, prompt), 0)
+                        stub.replies[model, prompt] = n + 1
+                        text = f"reply {n}: The answer is (B)."
+                    else:
+                        text = behavior[-1]
+                    stub.log.append(Call(model, prompt, arrived, time.monotonic(), status))
+                if status != 200:
+                    self.send_response(status)
                     self.end_headers()
                     return
-                if behavior[0] == "fail":
-                    if stub.failures_left.get(model, 0) > 0:
-                        stub.failures_left[model] -= 1
-                        self.send_response(500)
-                        self.end_headers()
-                        return
-                text = behavior[1]
                 payload = json.dumps(
                     {"choices": [{"message": {"role": "assistant", "content": text}}]}
                 ).encode()
@@ -74,10 +105,17 @@ class StubEndpoint:
         host, port = self.server.server_address
         return f"http://{host}:{port}/v1"
 
-    def set(self, model, behavior, failures=0):
+    def set(self, model, behavior, failures=0, delay=0.0):
         self.behaviors[model] = behavior
         if failures:
             self.failures_left[model] = failures
+        if delay:
+            self.delays[model] = delay
+
+    def calls(self, model, query=None):
+        """Logged requests to ``model``, for one query's prompt if given."""
+        return [c for c in self.log if c.model == model
+                and (query is None or c.prompt.startswith(f"question {query}\n"))]
 
     def close(self):
         self.server.shutdown()
@@ -190,6 +228,100 @@ class TestHarvest:
             harvest(queries(1), [endpoint(stub, "m")], k=0)
         with pytest.raises(ValueError):
             harvest(queries(1), [endpoint(stub, "m"), endpoint(stub, "m")], k=1)
+
+
+def most_at_once(calls):
+    """The largest number of the calls in flight at one instant."""
+    events = sorted([(c.arrived, 1) for c in calls] + [(c.replied, -1) for c in calls])
+    level = peak = 0
+    for _, step in events:  # at a tie a reply comes first: it frees its slot
+        level += step
+        peak = max(peak, level)
+    return peak
+
+
+class TestQueue:
+    def test_a_pending_retry_holds_no_slot(self, stub):
+        stub.set("a", ("fail", "The answer is (A)."), failures=1)
+        stub.set("b", ("ok", "The answer is (B)."))
+        harvest(queries(1), [endpoint(stub, "a"), endpoint(stub, "b")], k=1,
+                max_in_flight=1, backoff_base_s=0.6, backoff_cap_s=0.6)
+        a_failed, a_ok = stub.calls("a")
+        (b,) = stub.calls("b")
+        assert a_ok.arrived - a_failed.replied >= 0.3  # the backoff was waited out
+        assert a_failed.replied < b.arrived < a_ok.arrived
+
+    def test_no_query_waits_for_another(self, stub):
+        stub.set("slow", ("ok", "The answer is (A)."), delay=0.3)
+        stub.set("fast", ("ok", "The answer is (B)."))
+        harvest(queries(2), [endpoint(stub, "slow"), endpoint(stub, "fast")], k=1,
+                max_in_flight=2)
+        (slow_q0,) = stub.calls("slow", "q0")
+        (fast_q1,) = stub.calls("fast", "q1")
+        assert fast_q1.arrived < slow_q0.replied
+
+    def test_both_bounds_hold(self, stub):
+        names = ["a", "b", "c"]
+        for name in names:
+            stub.set(name, ("fail", "The answer is (C)."), failures=2 * (name == "b"), delay=0.02)
+        eps = [endpoint(stub, name) for name in names]
+        out = harvest(queries(4), eps, k=2, max_in_flight=2,
+                      backoff_base_s=0.02, backoff_cap_s=0.04)
+        assert len(stub.log) == 4 * 3 * 2 + 2
+        assert most_at_once(stub.log) == 2
+        assert all(most_at_once(stub.calls(name)) == 1 for name in names)
+        assert all(p.status == "ok" for rec in out.records
+                   for passes in rec.passes.values() for p in passes)
+
+    def test_no_request_starts_after_an_auth_failure(self, stub):
+        stub.set("open", ("ok", "The answer is (A)."), delay=0.3)
+        stub.set("locked", ("auth",))
+        with pytest.raises(AuthError, match="locked"):
+            harvest(queries(3), [endpoint(stub, "open"), endpoint(stub, "locked")], k=3,
+                    max_in_flight=2)
+        assert len(stub.calls("locked")) == 1
+        assert len(stub.calls("open")) <= 1  # only a request already sent may finish
+        assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
+
+    def test_each_chain_stores_its_passes_in_request_order(self, stub):
+        # More workers than cores and a tiny switch interval, so that a lost
+        # update to the shared queue would drop, repeat or reorder a pass.
+        names = [f"m{i}" for i in range(6)]
+        for i, name in enumerate(names):
+            stub.set(name, ("count",), failures=i % 3, delay=0.005)
+        out = {}
+
+        def run():
+            out["corpus"] = harvest(queries(4), [endpoint(stub, name) for name in names], k=3,
+                                    max_in_flight=6, backoff_base_s=0.01, backoff_cap_s=0.02)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(stub.log) == 4 * 6 * 3 + sum(i % 3 for i in range(6))
+        for rec in out["corpus"].records:
+            for name in names:
+                assert [p.raw_text.split(":")[0] for p in rec.passes[name]] == [
+                    "reply 0", "reply 1", "reply 2"]
+                assert all(p.latency_s > 0 for p in rec.passes[name])
+
+    def test_a_template_that_fails_to_render_stops_the_run(self, stub):
+        template = PromptTemplate(task=mcq_record("q").task,
+                                  template_text="{question} {choices} {oops}")
+        with pytest.raises(KeyError, match="oops"):
+            harvest(queries(2), [endpoint(stub, "a"), endpoint(stub, "b")], k=1,
+                    template=template)
+        assert stub.log == []
+
+    def test_max_in_flight_must_be_positive(self, stub):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            harvest(queries(1), [endpoint(stub, "m")], k=1, max_in_flight=0)
 
 
 class TestExtractMcq:
