@@ -176,21 +176,47 @@ def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:
     return None
 
 
+def first_maxima(vectors: Sequence[Sequence[float]]) -> np.ndarray:
+    """Index of each vector's first maximum: the choice a provided vector
+    votes for. The vectors are equally long."""
+    return np.argmax(np.asarray(vectors, dtype=np.float64), axis=1)
+
+
 def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
     """The model's single prediction for this episode.
 
-    MCQ/OEQ: the argmax of the model's provided probability vector when it
-    has one, as fusion reads it too; otherwise the modal ``parsed_answers``
-    entry, ties to the first seen, so the prediction is in ``answer_key``
-    form. GQ: raw text of the first ok pass. None when the model gave
-    nothing usable.
+    MCQ/OEQ: the ``first_maxima`` choice of the model's provided probability
+    vector when it has one, as fusion reads it too; otherwise the modal
+    ``parsed_answers`` entry, ties to the first seen, so the prediction is in
+    ``answer_key`` form. GQ: raw text of the first ok pass. None when the
+    model gave nothing usable.
     """
     if record.task.kind == "gq":
         return first_usable_text(record, model_id)
     provided = (record.provided_choice_probs or {}).get(model_id)
     if provided is not None:
-        return max(range(len(provided)), key=provided.__getitem__)  # first maximum wins
+        return int(first_maxima([provided])[0])
     return next((v for v, _ in Counter(parsed_answers(record, model_id)).most_common(1)), None)
+
+
+def provided_votes(
+    records: Sequence[EpisodeRecord], model_ids: Sequence[str]
+) -> np.ndarray:
+    """Episodes x models choices the provided vectors vote for, -1 where a
+    model has none: ``model_prediction``'s vote for each vector, from one
+    ``first_maxima`` call over the records' vectors, all of the one length a
+    single-task corpus gives them."""
+    has = np.zeros((len(records), len(model_ids)), dtype=bool)
+    vectors = []  # in episode-major order, as a boolean mask selects cells
+    for i, rec in enumerate(records):
+        if rec.provided_choice_probs:
+            row = list(map(rec.provided_choice_probs.get, model_ids))
+            has[i] = [v is not None for v in row]
+            vectors += [v for v in row if v is not None]
+    votes = np.full(has.shape, -1, dtype=np.int64)
+    if vectors:
+        votes[has] = first_maxima(vectors)
+    return votes
 
 
 def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int | None:
@@ -198,6 +224,10 @@ def plurality_prediction(record: EpisodeRecord, members: list[str]) -> str | int
     votes = [p for p in (model_prediction(record, m) for m in members) if p is not None]
     return next((v for v, _ in Counter(votes).most_common(1)), None)
 
+
+# Episodes whose provided vectors ``VoteTable`` stacks at once, so the stacked
+# vectors stay small whatever the split's size.
+VOTE_BLOCK = 256
 
 # Working-set bound for one block of masks in the batched scoring paths: the
 # per-block arrays stay within it whatever the mask count, so peak memory does
@@ -229,22 +259,30 @@ class VoteTable:
     Each episode gets its own codebook keyed by ``answer_key``, the form
     ``model_prediction`` already returns; -1 marks a model with no usable
     prediction, and a gold answer nobody predicted gets a sentinel code that
-    no prediction can match.
+    no prediction can match. The votes of provided vectors come from
+    ``provided_votes``, the other predictions from ``model_prediction``.
     """
 
     def __init__(self, records: Sequence[EpisodeRecord], model_ids: Sequence[str]) -> None:
         self.model_ids = list(model_ids)
         self.codes = np.full((len(records), len(self.model_ids)), -1, dtype=np.int64)
         self.gold = np.full(len(records), -2, dtype=np.int64)
-        for i, rec in enumerate(records):
-            if rec.task.kind == "gq":
-                raise ValueError("validation accuracy is not defined for gq tasks")
-            book: dict = {}
-            for j, model in enumerate(self.model_ids):
-                pred = model_prediction(rec, model)
-                if pred is not None:
-                    self.codes[i, j] = book.setdefault(pred, len(book))
-            self.gold[i] = book.get(answer_key(rec, rec.ground_truth), -2)
+        for start in range(0, len(records), VOTE_BLOCK):
+            block = records[start : start + VOTE_BLOCK]
+            codes = []
+            for i, (rec, votes) in enumerate(
+                zip(block, provided_votes(block, self.model_ids).tolist()), start
+            ):
+                if rec.task.kind == "gq":
+                    raise ValueError("validation accuracy is not defined for gq tasks")
+                book: dict = {}
+                row = []
+                for model, vote in zip(self.model_ids, votes):
+                    pred = vote if vote >= 0 else model_prediction(rec, model)
+                    row.append(-1 if pred is None else book.setdefault(pred, len(book)))
+                codes.append(row)
+                self.gold[i] = book.get(answer_key(rec, rec.ground_truth), -2)
+            self.codes[start : start + len(block)] = codes
         self.n_codes = int(self.codes.max()) + 1 if self.codes.size else 1
         # Plurality votes depend only on an episode's (codes, gold) row, so the
         # batched path scores each distinct row once, weighted by its count.

@@ -35,7 +35,7 @@ from .pruning import (
     search,
     write_candidates_csv,
 )
-from .summary_prep import serialize_inputs
+from .summary_prep import BudgetError, serialize_inputs
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +57,16 @@ def _percent(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0 < value <= 100:  # NaN fails too
         raise argparse.ArgumentTypeError(f"must be a percent in (0, 100], got {text}")
+    return value
+
+
+def _unit_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
     return value
 
 
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--w1", type=float, default=0.6)
     p.add_argument("--w2", type=float, default=0.4)
     p.add_argument("--method", choices=["auto", "bf", "ga"], default="auto")
@@ -104,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ga-plateau", type=int, default=100)
     p.add_argument("--random-pick", type=int, default=None, metavar="SEED",
                    help="pick the ensemble uniformly among the top-k")
-    p.add_argument("--tau", type=float, default=0.5,
+    p.add_argument("--tau", type=_unit_fraction, default=0.5,
                    help="unigram-recall failure threshold for generative tasks")
     p.add_argument("--seed", type=int, default=0)
     _add_split_flags(p)
@@ -114,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--k-passes", type=_positive_int, default=1)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_positive_int, default=200)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -137,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--w1", type=float, default=0.6)
     p.add_argument("--w2", type=float, default=0.4)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=_unit_fraction, default=0.5)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="val")
     p.add_argument("--seed", type=int, default=0)
     _add_split_flags(p)
@@ -223,14 +233,20 @@ def cmd_harvest(args) -> int:
     return 0
 
 
+def _require_episodes(records: list, empty: str, flag: str) -> list:
+    """The one empty-input rule: a stage refuses to score zero episodes and
+    names the flag that would give it some."""
+    if not records:
+        raise ValueError(f"{empty}, so there is nothing to score; raise {flag}")
+    return records
+
+
 def _score_records(args, corpus: Corpus):
     """Records the pruning signals are computed on: the val split, falling
     back to the train split when no validation fraction was requested."""
     train_part, val_part, _ = split(corpus, _split_spec(args))
-    records = val_part.records or train_part.records
-    if not records:
-        raise ValueError("the val and train splits are both empty; adjust the fractions")
-    return records
+    return _require_episodes(val_part.records or train_part.records,
+                             "the val and train splits are both empty", "--val-frac")
 
 
 def cmd_prune(args) -> int:
@@ -246,7 +262,7 @@ def cmd_prune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_candidates_csv(out / "candidates.csv", ranked, n)
-    top = ranked[: max(1, args.topk)]
+    top = ranked[: args.topk]
     pick = top[0] if args.random_pick is None else random.Random(args.random_pick).choice(top)
     ensemble = {
         "model_ids": corpus.model_ids,
@@ -333,6 +349,7 @@ def cmd_evaluate(args) -> int:
             f"{trained.get('members')}; re-run train-weighted"
         )
     _, _, test_part = split(corpus, _split_spec(args))
+    _require_episodes(test_part.records, "the test split is empty", "--test-frac")
     report = evaluate_records(test_part.records, ensemble["members"], params,
                               args.k_passes, task_of(corpus.records).kind)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
@@ -352,9 +369,8 @@ def cmd_diversity_report(args) -> int:
         records = corpus.records
     else:
         parts = dict(zip(("train", "val", "test"), split(corpus, _split_spec(args))))
-        records = parts[args.split].records
-    if not records:
-        raise ValueError(f"the {args.split} split is empty; adjust the fractions")
+        records = _require_episodes(parts[args.split].records,
+                                    f"the {args.split} split is empty", f"--{args.split}-frac")
     scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
     report = diversity_report(scorer)
     out = Path(args.out)
@@ -381,8 +397,9 @@ def cmd_summarize_prep(args) -> int:
     members = corpus.model_ids
     if (out / "ensemble.json").exists():
         members = _load_ensemble(out, corpus)["members"]
+    path = out / "summary_inputs.jsonl"
     n_written = 0
-    with open(out / "summary_inputs.jsonl", "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
             texts = []
             used = []
@@ -394,7 +411,13 @@ def cmd_summarize_prep(args) -> int:
             if not texts:
                 log.warning("record %s: no usable candidate text; skipped", rec.id)
                 continue
-            serialized = serialize_inputs(rec.prompt, texts, max_tokens=args.budget)
+            try:
+                serialized = serialize_inputs(rec.prompt, texts, max_tokens=args.budget)
+            except BudgetError as exc:
+                fh.close()
+                path.unlink()  # a refusal leaves no partial file
+                raise ValueError(f"--budget {args.budget} is too small for record {rec.id}: "
+                                 f"{exc}") from exc
             fh.write(json.dumps({
                 "id": rec.id,
                 "text": serialized.text,
@@ -405,7 +428,7 @@ def cmd_summarize_prep(args) -> int:
             }, ensure_ascii=False))
             fh.write("\n")
             n_written += 1
-    log.info("serialized %d records -> %s", n_written, out / "summary_inputs.jsonl")
+    log.info("serialized %d records -> %s", n_written, path)
     return 0
 
 

@@ -6,12 +6,29 @@ list of ``{raw_text, parsed, latency_s, status}`` objects; ``TaskKind.admits``
 says what a parsed answer may be, and every reader relies on it. The pool's
 model ids are derived from the records in first-seen order, so a model that
 never appears in any record does not survive a save/load round trip.
+
+``load_corpus`` reads in one pass. Each line is decoded and its fields are
+checked as it is read; the provided vectors are gathered into blocks of
+``VECTOR_BLOCK`` vectors of one length and checked together as one float64
+array (``_block_passes``), the array form of the vector rule
+``_vector_fault`` that ``EpisodeRecord.validate`` applies. When a block
+fails, or a line fails any other check while a block is pending, the
+block's records are checked one by one in line order, so the error names
+the first bad line with the message ``validate`` gives. The cyclic garbage
+collector is paused while lines are decoded: the records hold no reference
+cycles, and each collection would walk every container built so far. The
+caller's collector state is restored however the load ends.
 """
 from __future__ import annotations
 
+import gc
 import json
 import random
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 TASK_KINDS = ("mcq", "oeq", "gq")
 PASS_STATUSES = ("ok", "missing", "parse_failed")
@@ -19,9 +36,56 @@ PASS_STATUSES = ("ok", "missing", "parse_failed")
 # How far a probability vector's sum may stray from 1, wherever one is checked.
 PROB_SUM_TOL = 1e-6
 
+# Provided vectors ``load_corpus`` checks at once: small enough that a block's
+# arrays add nothing visible to peak memory.
+VECTOR_BLOCK = 1024
+
 
 class SchemaError(ValueError):
     """A record violates the corpus schema; the message names record and field."""
+
+
+def _vector_fault(probs, m: int) -> str | None:
+    """The provided-vector rule: what is wrong with one vector for an m-choice
+    question, or None. The first that applies: not a list of numbers, an entry
+    too large for a float, a length other than m, a negative entry, a sum more
+    than ``PROB_SUM_TOL`` off 1 (a NaN sum is off). The sum adds the entries
+    left to right in float64, so the accept boundary is the same on every
+    interpreter."""
+    try:
+        negative = any(p < 0 for p in probs)
+        total = 0.0
+        for p in probs:
+            total += p
+    except TypeError:
+        return "must be a list of numbers"
+    except OverflowError:
+        return "an entry is too large for a float"
+    if len(probs) != m:
+        return f"length {len(probs)} != {m}"
+    if negative:
+        return "negative entry"
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        return f"sums to {total:.6f}, expected 1"
+    return None
+
+
+def _block_passes(vectors: list, m: int) -> bool:
+    """Whether every vector passes ``_vector_fault`` for an m-choice question,
+    checked as one (vectors, m) float64 array: each entry converted as
+    ``float`` converts it, the same comparisons, and the columns added left to
+    right, so each row's sum is the same float64 sum."""
+    try:
+        if set(map(len, vectors)) != {m}:
+            return False
+        rows = np.frombuffer(array("d", chain.from_iterable(vectors)), dtype=np.float64)
+        rows = rows.reshape(-1, m)
+    except (TypeError, OverflowError):  # an entry that is no number, or too large
+        return False
+    total = rows[:, 0].copy()
+    for j in range(1, m):
+        total += rows[:, j]
+    return not (rows < 0).any() and bool((np.abs(total - 1.0) <= PROB_SUM_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -101,6 +165,7 @@ class EpisodeRecord:
     provided_choice_probs: dict[str, list[float]] | None = None
 
     def validate(self) -> None:
+        """Every schema check, the provided vectors' entries last."""
         if not self.id:
             raise SchemaError("record with empty id")
         if not isinstance(self.prompt, str):
@@ -131,42 +196,16 @@ class EpisodeRecord:
                         f"record {self.id}: passes: parsed {p.parsed!r} is not an answer "
                         f"to a {self.task} question"
                     )
-        if self.provided_choice_probs is not None:
-            if not self.task.is_mcq:
-                raise SchemaError(
-                    f"record {self.id}: provided_choice_probs: only valid for mcq"
-                )
-            for model_id, probs in self.provided_choice_probs.items():
-                try:  # a vector that is not a list of numbers fails len, < or sum
-                    n_probs = len(probs)
-                    negative = any(p < 0 for p in probs)
-                    total = sum(probs)
-                    off_by = abs(total - 1.0)
-                except TypeError:
-                    raise SchemaError(
-                        f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        "must be a list of numbers"
-                    ) from None
-                except OverflowError:  # an integer entry beyond the float range
-                    raise SchemaError(
-                        f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        "an entry is too large for a float"
-                    ) from None
-                if n_probs != self.task.num_choices:
-                    raise SchemaError(
-                        f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        f"length {n_probs} != {self.task.num_choices}"
-                    )
-                if negative:
-                    raise SchemaError(
-                        f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        "negative entry"
-                    )
-                if not off_by <= PROB_SUM_TOL:  # a NaN sum fails too
-                    raise SchemaError(
-                        f"record {self.id}: provided_choice_probs[{model_id}]: "
-                        f"sums to {total:.6f}, expected 1"
-                    )
+        if self.provided_choice_probs is not None and not self.task.is_mcq:
+            raise SchemaError(f"record {self.id}: provided_choice_probs: only valid for mcq")
+        self._validate_vectors()
+
+    def _validate_vectors(self) -> None:
+        """Each provided vector against the vector rule, ``_vector_fault``."""
+        for model_id, probs in (self.provided_choice_probs or {}).items():
+            fault = _vector_fault(probs, self.task.num_choices)
+            if fault is not None:
+                raise SchemaError(f"record {self.id}: provided_choice_probs[{model_id}]: {fault}")
 
     def model_ids_seen(self) -> list[str]:
         seen = list(self.passes)
@@ -252,7 +291,9 @@ def _pass_from_json(obj: dict, owner: str) -> RawPass:
     )
 
 
-def _record_from_json(obj) -> EpisodeRecord:
+def _record_from_json(obj, tasks: dict) -> EpisodeRecord:
+    """The record a decoded line describes; ``tasks`` keeps one ``TaskKind``
+    per (kind, choice count) across calls."""
     if not isinstance(obj, dict):
         raise SchemaError("record is not a JSON object")
     rec_id = obj.get("id")
@@ -265,9 +306,12 @@ def _record_from_json(obj) -> EpisodeRecord:
     if kind == "mcq":
         if not isinstance(choices, list) or len(choices) < 2:
             raise SchemaError(f"record {rec_id}: choices: mcq needs >= 2 choices")
-        task = TaskKind.mcq(len(choices))
+        key = (kind, len(choices))
     else:
-        task = TaskKind(kind)
+        key = (kind, None)
+    task = tasks.get(key)
+    if task is None:
+        task = tasks[key] = TaskKind(*key)
     plists = obj.get("passes")
     if plists is None:
         plists = {}
@@ -291,39 +335,94 @@ def _record_from_json(obj) -> EpisodeRecord:
     )
 
 
+def _record_from_line(line: str, tasks: dict) -> EpisodeRecord:
+    """The record a corpus line describes, validated but for the entries of
+    its provided vectors, which ``load_corpus`` checks a block at a time."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    rec = _record_from_json(obj, tasks)
+    vectors = rec.provided_choice_probs
+    if rec.task.is_mcq:  # held aside: validate checks a record's vector entries last
+        rec.provided_choice_probs = None
+    rec.validate()
+    rec.provided_choice_probs = vectors
+    return rec
+
+
+def _check_block(vectors: list, m: int, pending: list) -> None:
+    """Check ``vectors`` as one block: the provided vectors of the records in
+    ``pending``, (record, line) pairs. If the block fails, raise the first bad
+    record's error, naming its line."""
+    if not vectors or _block_passes(vectors, m):
+        return
+    for rec, lineno in pending:
+        try:
+            rec._validate_vectors()
+        except SchemaError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+    raise SchemaError(  # unreachable while the two forms of the rule agree
+        f"lines {pending[0][1]}-{pending[-1][1]}: provided_choice_probs: "
+        "a vector fails the rule"
+    )
+
+
 def load_corpus(path: str) -> Corpus:
     """Load and validate a JSONL corpus; names the first offending line on error.
 
-    Each record is validated once, as its line is read. The pool is built from
-    the records, so every model a record names is in it by construction.
+    Each record is validated once: its fields as its line is read, its
+    provided vectors a block at a time (see the module docstring). The pool
+    is built from the records, so every model a record names is in it by
+    construction.
     """
     records: list[EpisodeRecord] = []
-    model_ids: list[str] = []
-    seen_models: set[str] = set()
+    pool: dict = {}  # model ids in first-seen order; only the keys are used
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                rec = _record_from_json(obj)
-                rec.validate()
-            except SchemaError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            if rec.id in seen_ids:
-                raise SchemaError(f"line {lineno}: record {rec.id}: id: duplicate")
-            seen_ids.add(rec.id)
-            records.append(rec)
-            for m in rec.model_ids_seen():
-                if m not in seen_models:
-                    seen_models.add(m)
-                    model_ids.append(m)
-    return Corpus(records=records, model_ids=model_ids)
+    tasks: dict = {}
+    block: list = []  # provided vectors not yet checked, each meant to be block_m long
+    block_m = None
+    pending: list = []  # (record, line) of the records those vectors came from
+
+    def check_block() -> None:
+        _check_block(block, block_m, pending)
+        block.clear()
+        pending.clear()
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = _record_from_line(line, tasks)
+                except SchemaError as exc:
+                    check_block()  # a bad vector on an earlier line comes first
+                    raise SchemaError(f"line {lineno}: {exc}") from exc
+                probs = rec.provided_choice_probs
+                if probs and rec.task.num_choices != block_m:
+                    check_block()
+                    block_m = rec.task.num_choices
+                records.append(rec)
+                pool.update(rec.passes)
+                if probs:
+                    pool.update(probs)
+                    block.extend(probs.values())
+                    pending.append((rec, lineno))
+                if rec.id in seen_ids:
+                    check_block()  # so does a bad vector on this line
+                    raise SchemaError(f"line {lineno}: record {rec.id}: id: duplicate")
+                seen_ids.add(rec.id)
+                if len(block) >= VECTOR_BLOCK:
+                    check_block()
+        check_block()
+    finally:
+        if collecting:
+            gc.enable()
+    return Corpus(records=records, model_ids=list(pool))
 
 
 def _pass_to_json(p: RawPass) -> dict:

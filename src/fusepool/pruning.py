@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator, Sequence
 import numpy as np
 
 from .answers import VoteTable
-from .corpus import Corpus, EpisodeRecord, task_of
+from .corpus import Corpus, EpisodeRecord
 from .diversity import CoFailureCounts, FailureMatrix, FailureRule, failure_matrix
 from .metrics import pearson
 
@@ -167,11 +167,13 @@ def build_scorer(
 ) -> CandidateScorer:
     """Scorer for the corpus's pool on ``records``, episodes of ``corpus``.
 
-    For MCQ and OEQ one vote table supplies both the failure rows and the
-    plurality accuracy. GQ failures follow the unigram-recall rule and have
-    no accuracy, so fitness is the diversity alone.
+    The corpus holds one task kind, as ``task_of`` checks where a corpus
+    enters a stage, so its first record's kind is the corpus's. For MCQ and
+    OEQ one vote table supplies both the failure rows and the plurality
+    accuracy. GQ failures follow the unigram-recall rule and have no
+    accuracy, so fitness is the diversity alone.
     """
-    if task_of(corpus.records).kind == "gq":
+    if corpus.records and corpus.records[0].task.kind == "gq":
         return CandidateScorer(failure_matrix(records, corpus.model_ids, rule), None, w1, w2)
     table = VoteTable(records, corpus.model_ids)
     failures = FailureMatrix(table.failed, [rec.id for rec in records], table.model_ids)

@@ -54,6 +54,10 @@ def token_count(text: str) -> int:
     return len(text.split())
 
 
+class BudgetError(ValueError):
+    """A token budget leaves no token for a candidate."""
+
+
 def _assemble(query: str, candidates: list[str]) -> SerializedInput:
     parts = [QUESTION_OPEN, query, QUESTION_CLOSE]
     offset = len(QUESTION_OPEN) + 1
@@ -85,12 +89,20 @@ def serialize_inputs(
 
     Layout: <boq> x <eoq> <boc1> z_1 <eoc1> ... <bocS> z_S <eocS>.
     When the whitespace token count exceeds ``max_tokens``, tokens are
-    trimmed from the longest candidate first until the input fits.
+    trimmed from the longest candidate first until the input fits. A
+    ``max_tokens`` that leaves no token for a candidate once the question and
+    the tags are in raises ``BudgetError``.
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
     if not candidates:
         raise ValueError("need at least one candidate")
+    frame = token_count(query) + 2 + 2 * len(candidates)  # question, its tags, the tags
+    if max_tokens <= frame:
+        raise BudgetError(
+            f"max_tokens={max_tokens} leaves no token for a candidate: "
+            f"the question and tags take {frame}"
+        )
     serialized = _assemble(query, list(candidates))
     total = token_count(serialized.text)
     if total <= max_tokens:
@@ -102,8 +114,6 @@ def serialize_inputs(
     while excess > 0:
         lengths = [len(t) for t in trimmed]
         longest = max(range(len(trimmed)), key=lengths.__getitem__)
-        if lengths[longest] == 0:
-            break  # nothing left to trim; question and tags stay intact
         runner_up = max((n for i, n in enumerate(lengths) if i != longest), default=0)
         cut = min(excess, max(1, lengths[longest] - runner_up))
         del trimmed[longest][-cut:]

@@ -170,7 +170,7 @@ class TestErrors:
         assert not (out / "report.json").exists()
         assert run("evaluate", "--corpus", pool_corpus, "--out", out, "--seed", "3") == 0
 
-    def test_evaluate_on_an_empty_test_split_reports_the_corpus_task(self, tmp_path):
+    def test_evaluate_on_an_empty_test_split_reports_the_corpus_task(self, tmp_path, capsys):
         corpus = tmp_path / "oeq.jsonl"
         save_corpus(oeq_pool(3, 40, seed=0), corpus)
         out = tmp_path / "run"
@@ -178,9 +178,25 @@ class TestErrors:
                   "--train-frac", "0.85", "--val-frac", "0.15", "--test-frac", "0.0"]
         assert run("prune", *common) == 0
         assert run("train-weighted", *common, "--k-passes", "5", "--epochs", "3") == 0
-        assert run("evaluate", *common, "--k-passes", "5") == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["task"] == "oeq" and report["n_episodes"] == 0
+        capsys.readouterr()
+        assert run("evaluate", *common, "--k-passes", "5") == 2  # like prune's empty split
+        assert "the test split is empty" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        ensemble = json.loads((out / "ensemble.json").read_text())
+        params = fusion.load_params(out / "fusion_params.json")
+        report = evaluation.evaluate_records([], ensemble["members"], params, 5, "oeq")
+        assert report.task == "oeq" and report.n_episodes == 0
+
+    def test_summarize_prep_refuses_a_budget_that_leaves_no_candidate_token(self, tmp_path,
+                                                                           capsys):
+        corpus = tmp_path / "oeq.jsonl"
+        save_corpus(oeq_pool(3, 60, k=3, seed=0), corpus)
+        out = tmp_path / "run"
+        assert run("summarize-prep", "--corpus", corpus, "--out", out, "--budget", "0") == 2
+        err = capsys.readouterr().err
+        first = load_corpus(corpus).records[0].id
+        assert f"--budget 0 is too small for record {first}:" in err
+        assert not (out / "summary_inputs.jsonl").exists()
 
     def test_evaluate_refuses_a_team_other_than_the_trained_one(self, tmp_path, capsys):
         corpus = tmp_path / "pool8.jsonl"
@@ -276,6 +292,14 @@ class TestErrors:
         (["harvest", "--alpha", "0"], "--alpha"),
         (["train-weighted", "--k-passes", "0"], "--k-passes"),
         (["evaluate", "--k-passes", "-3"], "--k-passes"),
+        (["prune", "--topk", "0"], "--topk"),
+        (["prune", "--topk", "-3"], "--topk"),
+        (["prune", "--tau", "nan"], "--tau"),
+        (["prune", "--tau", "-1"], "--tau"),
+        (["diversity-report", "--tau", "1.5"], "--tau"),
+        (["diversity-report", "--tau", "inf"], "--tau"),
+        (["train-weighted", "--epochs", "0"], "--epochs"),
+        (["train-weighted", "--batch-size", "0"], "--batch-size"),
     ])
     def test_numeric_flag_out_of_range_is_named(self, tmp_path, capsys, argv, flag):
         paths = ["--corpus", tmp_path / "c.jsonl"]
@@ -345,9 +369,24 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, message", [
+        ("topk", 0, "must be a positive integer, got 0"),
+        ("tau", float("nan"), "must be a number in [0, 1], got nan"),
+    ])
+    def test_prune_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus,
+                                                            capsys, key, value, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert run("--config", config, "prune", "--corpus", pool_corpus,
+                   "--out", tmp_path / "o") == 2
+        assert f"{key!r}: argument --{key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
         ("epochs", 2.5, "invalid int value: '2.5'"),
         ("optimizer", "adamw", "invalid choice: 'adamw'"),
         ("k-passes", 0, "must be a positive integer, got 0"),
+        ("epochs", 0, "must be a positive integer, got 0"),
+        ("batch-size", 0, "must be a positive integer, got 0"),
     ])
     def test_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus, capsys,
                                                       key, value, message):

@@ -27,6 +27,12 @@ from test_answers import ok_pass
 from test_corpus import mcq_record, oeq_record
 
 
+class _StubServer(ThreadingHTTPServer):
+    # Eight clients may connect at once; the default backlog of 5 can drop a
+    # SYN and stall that client for a one-second retry.
+    request_queue_size = 16
+
+
 @dataclass(frozen=True)
 class Call:
     model: str
@@ -96,8 +102,10 @@ class StubEndpoint:
             def log_message(self, *args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.server = _StubServer(("127.0.0.1", 0), Handler)
+        # A short poll keeps close()'s shutdown from waiting out the default 0.5 s.
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, daemon=True)
         self.thread.start()
 
     @property

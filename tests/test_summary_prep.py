@@ -5,6 +5,7 @@ import pytest
 
 from fusepool.summary_prep import (
     AttentionMaskSpec,
+    BudgetError,
     build_attention_mask,
     candidate_tags,
     receptive_field,
@@ -85,6 +86,13 @@ class TestSerialize:
     def test_within_budget_untouched(self):
         out = serialize_inputs("q", ["a b", "c"], max_tokens=16396)
         assert out.candidate(0) == "a b"
+
+    def test_budget_must_leave_a_candidate_token(self):
+        # "<boq> q1 q2 <eoq> <boc1> <eoc1> <boc2> <eoc2>" is 8 tokens.
+        with pytest.raises(BudgetError, match="question and tags take 8"):
+            serialize_inputs("q1 q2", ["a b", "c d"], max_tokens=8)
+        out = serialize_inputs("q1 q2", ["a b", "c d"], max_tokens=9)
+        assert token_count(out.text) == 9 and out.question() == "q1 q2"
 
     def test_candidate_tags(self):
         assert candidate_tags(2) == ("<boc2>", "<eoc2>")
