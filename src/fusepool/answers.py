@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .corpus import PROB_SUM_TOL, EpisodeRecord
+from .corpus import PROB_SUM_TOL, EpisodeRecord, ProvidedVectors, vector_list
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ def assemble_mcq_distributions(
     for model_id in members:
         provided = (record.provided_choice_probs or {}).get(model_id)
         if provided is not None:
-            out.append(ChoiceDistribution(model_id=model_id, probs=list(provided)))
+            out.append(ChoiceDistribution(model_id=model_id, probs=list(vector_list(provided))))
             continue
         if not record.passes.get(model_id):
             log.warning("record %s: model %s has no probs and no passes; skipping episode",
@@ -176,10 +176,10 @@ def first_usable_text(record: EpisodeRecord, model_id: str) -> str | None:
     return None
 
 
-def first_maxima(vectors: Sequence[Sequence[float]]) -> np.ndarray:
-    """Index of each vector's first maximum: the choice a provided vector
-    votes for. The vectors are equally long."""
-    return np.argmax(np.asarray(vectors, dtype=np.float64), axis=1)
+def first_maxima(vectors) -> np.ndarray:
+    """Index of each vector's first maximum, along the last axis: the choice
+    a provided vector votes for. The vectors are equally long."""
+    return np.argmax(np.asarray(vectors, dtype=np.float64), axis=-1)
 
 
 def model_prediction(record: EpisodeRecord, model_id: str) -> str | int | None:
@@ -203,19 +203,26 @@ def provided_votes(
     records: Sequence[EpisodeRecord], model_ids: Sequence[str]
 ) -> np.ndarray:
     """Episodes x models choices the provided vectors vote for, -1 where a
-    model has none: ``model_prediction``'s vote for each vector, from one
-    ``first_maxima`` call over the records' vectors, all of the one length a
-    single-task corpus gives them."""
-    has = np.zeros((len(records), len(model_ids)), dtype=bool)
-    vectors = []  # in episode-major order, as a boolean mask selects cells
+    model has none: ``model_prediction``'s vote for each vector. Records that
+    share a key order (loaded records share one ``ProvidedVectors`` index)
+    are stacked and take one ``first_maxima`` call; a dict of vectors is a
+    key order of its own. All vectors have the one length a single-task
+    corpus gives them."""
+    column = {m: j for j, m in enumerate(model_ids)}
+    votes = np.full((len(records), len(model_ids)), -1, dtype=np.int64)
+    groups: dict = {}  # id of a key order -> (key order, episodes, their vectors)
     for i, rec in enumerate(records):
-        if rec.provided_choice_probs:
-            row = list(map(rec.provided_choice_probs.get, model_ids))
-            has[i] = [v is not None for v in row]
-            vectors += [v for v in row if v is not None]
-    votes = np.full(has.shape, -1, dtype=np.int64)
-    if vectors:
-        votes[has] = first_maxima(vectors)
+        probs = rec.provided_choice_probs
+        if probs:
+            keys, rows = ((probs.index, probs.rows) if isinstance(probs, ProvidedVectors)
+                          else (probs, list(probs.values())))
+            _, episodes, vectors = groups.setdefault(id(keys), (keys, [], []))
+            episodes.append(i)
+            vectors.append(rows)
+    for keys, episodes, vectors in groups.values():
+        cols = np.array([column.get(m, -1) for m in keys])
+        kept = cols >= 0
+        votes[np.ix_(episodes, cols[kept])] = first_maxima(vectors)[:, kept]
     return votes
 
 

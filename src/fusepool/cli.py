@@ -28,6 +28,7 @@ from .harvest import (
     select_fraction,
 )
 from .pruning import (
+    GA_MIN_POPULATION,
     GaConfig,
     build_scorer,
     diversity_report,
@@ -40,14 +41,21 @@ from .summary_prep import BudgetError, serialize_inputs
 log = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an int flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            bound = "a positive integer" if low == 1 else f"an integer >= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _percent(text: str) -> float:
@@ -110,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w1", type=float, default=0.6)
     p.add_argument("--w2", type=float, default=0.4)
     p.add_argument("--method", choices=["auto", "bf", "ga"], default="auto")
-    p.add_argument("--ga-population", type=int, default=50)
-    p.add_argument("--ga-plateau", type=int, default=100)
+    p.add_argument("--ga-population", type=_int_at_least(GA_MIN_POPULATION), default=50)
+    p.add_argument("--ga-plateau", type=_positive_int, default=100)
     p.add_argument("--random-pick", type=int, default=None, metavar="SEED",
                    help="pick the ensemble uniformly among the top-k")
     p.add_argument("--tau", type=_unit_fraction, default=0.5,
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--patience", type=int, default=20)
+    p.add_argument("--patience", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     _add_split_flags(p)
 

@@ -10,7 +10,7 @@ never appears in any record does not survive a save/load round trip.
 ``load_corpus`` reads in one pass. Each line is decoded and its fields are
 checked as it is read; the provided vectors are gathered into blocks of
 ``VECTOR_BLOCK`` vectors of one length and checked together as one float64
-array (``_block_passes``), the array form of the vector rule
+array (``_block_rows``), the array form of the vector rule
 ``_vector_fault`` that ``EpisodeRecord.validate`` applies. When a block
 fails, or a line fails any other check while a block is pending, the
 block's records are checked one by one in line order, so the error names
@@ -18,6 +18,14 @@ the first bad line with the message ``validate`` gives. The cyclic garbage
 collector is paused while lines are decoded: the records hold no reference
 cycles, and each collection would walk every container built so far. The
 caller's collector state is restored however the load ends.
+
+A block that passes is kept: the block array is made read-only, and each
+loaded MCQ record's ``provided_choice_probs`` becomes a ``ProvidedVectors``,
+a mapping from model id to a float64 row view into that array, in the
+line's key order. So a loaded probability costs 8 bytes instead of a Python
+float in a list, and an int entry reads back as a float: saving a loaded
+corpus writes ``1.0`` where the line had ``1``. Records built in code may
+hold a dict of lists; the two forms compare equal when their values do.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ import gc
 import json
 import random
 from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -70,22 +79,66 @@ def _vector_fault(probs, m: int) -> str | None:
     return None
 
 
-def _block_passes(vectors: list, m: int) -> bool:
-    """Whether every vector passes ``_vector_fault`` for an m-choice question,
-    checked as one (vectors, m) float64 array: each entry converted as
-    ``float`` converts it, the same comparisons, and the columns added left to
-    right, so each row's sum is the same float64 sum."""
+def _block_rows(vectors: list, m: int) -> np.ndarray | None:
+    """The vectors as one read-only (vectors, m) float64 array if every one
+    passes ``_vector_fault`` for an m-choice question, else None. Each entry
+    is converted as ``float`` converts it, the comparisons are the same, and
+    the columns are added left to right, so each row's sum is the same
+    float64 sum."""
     try:
         if set(map(len, vectors)) != {m}:
-            return False
+            return None
         rows = np.frombuffer(array("d", chain.from_iterable(vectors)), dtype=np.float64)
         rows = rows.reshape(-1, m)
     except (TypeError, OverflowError):  # an entry that is no number, or too large
-        return False
+        return None
     total = rows[:, 0].copy()
     for j in range(1, m):
         total += rows[:, j]
-    return not (rows < 0).any() and bool((np.abs(total - 1.0) <= PROB_SUM_TOL).all())
+    if (rows < 0).any() or not (np.abs(total - 1.0) <= PROB_SUM_TOL).all():
+        return None
+    rows.flags.writeable = False
+    return rows
+
+
+class ProvidedVectors(Mapping):
+    """A loaded record's provided vectors: model id -> read-only float64 row,
+    in the order its line lists them. ``rows`` is a view into the block array
+    ``load_corpus`` checked, and records whose lines list the same models in
+    the same order share one ``index`` (model id -> row)."""
+
+    __slots__ = ("index", "rows")
+
+    def __init__(self, index: dict, rows: np.ndarray) -> None:
+        self.index = index
+        self.rows = rows
+
+    def __getitem__(self, model_id: str) -> np.ndarray:
+        return self.rows[self.index[model_id]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __eq__(self, other) -> bool:
+        """Equal to any mapping with the same keys and equal values, as a dict
+        of the rows' ``tolist()`` would be."""
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            row.tolist() == vector_list(other[model_id]) for model_id, row in self.items()
+        )
+
+    def __repr__(self) -> str:
+        return f"ProvidedVectors({dict(zip(self.index, self.rows.tolist()))!r})"
+
+
+def vector_list(vector):
+    """A provided vector as a list: a loaded row as the list of floats it
+    holds, anything else as it is."""
+    return vector.tolist() if isinstance(vector, np.ndarray) else vector
 
 
 @dataclass(frozen=True)
@@ -162,7 +215,9 @@ class EpisodeRecord:
     ground_truth: str | int
     choices: list[str] | None = None
     passes: dict[str, list[RawPass]] = field(default_factory=dict)
-    provided_choice_probs: dict[str, list[float]] | None = None
+    # Model id -> probability vector: a dict of lists in code, a read-only
+    # ``ProvidedVectors`` once loaded.
+    provided_choice_probs: Mapping[str, Sequence[float]] | None = None
 
     def validate(self) -> None:
         """Every schema check, the provided vectors' entries last."""
@@ -201,8 +256,11 @@ class EpisodeRecord:
         self._validate_vectors()
 
     def _validate_vectors(self) -> None:
-        """Each provided vector against the vector rule, ``_vector_fault``."""
-        for model_id, probs in (self.provided_choice_probs or {}).items():
+        """Each provided vector against the vector rule, ``_vector_fault``;
+        loaded rows are checked as the lists of floats they hold."""
+        vectors = self.provided_choice_probs or {}
+        rows = vectors.rows.tolist() if isinstance(vectors, ProvidedVectors) else vectors.values()
+        for model_id, probs in zip(vectors, rows):
             fault = _vector_fault(probs, self.task.num_choices)
             if fault is not None:
                 raise SchemaError(f"record {self.id}: provided_choice_probs[{model_id}]: {fault}")
@@ -351,21 +409,33 @@ def _record_from_line(line: str, tasks: dict) -> EpisodeRecord:
     return rec
 
 
-def _check_block(vectors: list, m: int, pending: list) -> None:
+def _check_block(vectors: list, m: int, pending: list, indexes: dict) -> None:
     """Check ``vectors`` as one block: the provided vectors of the records in
-    ``pending``, (record, line) pairs. If the block fails, raise the first bad
-    record's error, naming its line."""
-    if not vectors or _block_passes(vectors, m):
+    ``pending``, (record, line) pairs. If the block passes, each record's
+    vectors become a ``ProvidedVectors`` over the block's rows, its index
+    shared through ``indexes`` (key order -> index); if it fails, raise the
+    first bad record's error, naming its line."""
+    if not vectors:
         return
-    for rec, lineno in pending:
-        try:
-            rec._validate_vectors()
-        except SchemaError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from exc
-    raise SchemaError(  # unreachable while the two forms of the rule agree
-        f"lines {pending[0][1]}-{pending[-1][1]}: provided_choice_probs: "
-        "a vector fails the rule"
-    )
+    rows = _block_rows(vectors, m)
+    if rows is None:
+        for rec, lineno in pending:
+            try:
+                rec._validate_vectors()
+            except SchemaError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from exc
+        raise SchemaError(  # unreachable while the two forms of the rule agree
+            f"lines {pending[0][1]}-{pending[-1][1]}: provided_choice_probs: "
+            "a vector fails the rule"
+        )
+    start = 0
+    for rec, _ in pending:
+        keys = tuple(rec.provided_choice_probs)
+        index = indexes.get(keys)
+        if index is None:
+            index = indexes[keys] = {model_id: i for i, model_id in enumerate(keys)}
+        rec.provided_choice_probs = ProvidedVectors(index, rows[start : start + len(keys)])
+        start += len(keys)
 
 
 def load_corpus(path: str) -> Corpus:
@@ -380,12 +450,13 @@ def load_corpus(path: str) -> Corpus:
     pool: dict = {}  # model ids in first-seen order; only the keys are used
     seen_ids: set[str] = set()
     tasks: dict = {}
+    indexes: dict = {}  # one ProvidedVectors index per key order
     block: list = []  # provided vectors not yet checked, each meant to be block_m long
     block_m = None
     pending: list = []  # (record, line) of the records those vectors came from
 
     def check_block() -> None:
-        _check_block(block, block_m, pending)
+        _check_block(block, block_m, pending, indexes)
         block.clear()
         pending.clear()
 
@@ -436,6 +507,9 @@ def _pass_to_json(p: RawPass) -> dict:
 
 def record_to_json(rec: EpisodeRecord, model_order: list[str] | None = None) -> dict:
     order = [m for m in (model_order or rec.passes) if m in rec.passes]
+    probs = rec.provided_choice_probs
+    if isinstance(probs, Mapping):
+        probs = {m: vector_list(v) for m, v in probs.items()}
     return {
         "id": rec.id,
         "task": rec.task.kind,
@@ -443,12 +517,14 @@ def record_to_json(rec: EpisodeRecord, model_order: list[str] | None = None) -> 
         "choices": rec.choices,
         "ground_truth": rec.ground_truth,
         "passes": {m: [_pass_to_json(p) for p in rec.passes[m]] for m in order},
-        "provided_choice_probs": rec.provided_choice_probs,
+        "provided_choice_probs": probs,
     }
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write one JSON object per line; load(save(c)) is structurally identical."""
+    """Write one JSON object per line; load(save(c)) == c. Saving a loaded
+    corpus rewrites the file ``save_corpus`` wrote byte for byte, but for
+    int entries of provided vectors, which are floats once loaded."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
             fh.write(json.dumps(record_to_json(rec, corpus.model_ids), ensure_ascii=False))

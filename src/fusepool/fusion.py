@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
 
 
 def init_params(dims: Sequence[int], seed: int = 0) -> FusionParameters:

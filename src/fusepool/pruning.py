@@ -194,6 +194,10 @@ def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandi
     return scorer.scored()[:k]
 
 
+# The smallest population ``GaConfig`` accepts, and ``prune --ga-population``.
+GA_MIN_POPULATION = 4
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 50
@@ -204,8 +208,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 4:
-            raise ValueError("population must be >= 4")
+        if self.population < GA_MIN_POPULATION:
+            raise ValueError(f"population must be >= {GA_MIN_POPULATION}")
         if self.mutation_rate is not None and not 0.0 < self.mutation_rate < 1.0:
             raise ValueError("mutation_rate must be in (0, 1)")
         if not 0.0 < self.elite_frac <= 1.0:

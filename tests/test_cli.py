@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusepool
 from fusepool import evaluation, fusion
@@ -300,6 +301,11 @@ class TestErrors:
         (["diversity-report", "--tau", "inf"], "--tau"),
         (["train-weighted", "--epochs", "0"], "--epochs"),
         (["train-weighted", "--batch-size", "0"], "--batch-size"),
+        (["train-weighted", "--patience", "0"], "--patience"),
+        (["train-weighted", "--patience", "-1"], "--patience"),
+        (["prune", "--ga-population", "0"], "--ga-population"),
+        (["prune", "--ga-population", "3"], "--ga-population"),
+        (["prune", "--ga-plateau", "0"], "--ga-plateau"),
     ])
     def test_numeric_flag_out_of_range_is_named(self, tmp_path, capsys, argv, flag):
         paths = ["--corpus", tmp_path / "c.jsonl"]
@@ -483,3 +489,90 @@ def test_importing_the_cli_does_not_load_requests():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "False"
+
+
+# A fuzz guard on ``main``: a small corpus with one or two fields deleted or
+# replaced, and drawn flag values. Every run exits 0 or 2, and a repeat
+# writes the same files byte for byte.
+_FUZZ_PATHS = [
+    ("id",), ("task",), ("prompt",), ("choices",), ("choices", 1), ("ground_truth",),
+    ("passes",), ("passes", "c"), ("passes", "c", 0), ("passes", "c", 0, "parsed"),
+    ("passes", "c", 0, "status"), ("passes", "c", 0, "raw_text"),
+    ("provided_choice_probs",), ("provided_choice_probs", "a"),
+    ("provided_choice_probs", "b", 2),
+]
+_DELETE = object()
+_FUZZ_VALUES = [_DELETE, None, True, -1, 10**30, float("nan"), "", [0.5], {"k": 1}]
+
+
+def _fuzz_rows() -> list[dict]:
+    """Eight MCQ records over three models: a and b give vectors, c a pass."""
+    rows = []
+    for i in range(8):
+        gold = i % 4
+        rows.append({
+            "id": f"r{i}", "task": "mcq", "prompt": f"question {i}",
+            "choices": ["w", "x", "y", "z"], "ground_truth": gold,
+            "passes": {"c": [{"raw_text": "(B)", "parsed": (gold + i // 4) % 4,
+                              "latency_s": 0.1, "status": "ok"}]},
+            "provided_choice_probs": {
+                "a": [0.7 if c == gold else 0.1 for c in range(4)],
+                "b": [0.4 if c == (gold + i % 3) % 4 else 0.2 for c in range(4)],
+            },
+        })
+    return rows
+
+
+def _mutate_field(rows: list[dict], record: int, path: tuple, value) -> None:
+    """Delete or replace one field of one row; nothing if an earlier mutation
+    removed its parent."""
+    try:
+        parent = rows[record]
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def _run_and_collect(argv: list, out: Path) -> tuple:
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse refused a flag
+        code = exc.code
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, files
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mutations=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_FUZZ_PATHS),
+                                 st.sampled_from(_FUZZ_VALUES)), min_size=1, max_size=2),
+    method=st.sampled_from(["auto", "bf", "ga"]),
+    tau=st.sampled_from(["0", "0.5", "1"]),
+    split=st.sampled_from(["train", "val", "all"]),
+    seed=st.integers(0, 3),
+)
+def test_main_exits_0_or_2_on_a_mutated_corpus(tmp_path_factory, mutations, method, tau,
+                                               split, seed):
+    rows = _fuzz_rows()
+    for mutation in mutations:
+        _mutate_field(rows, *mutation)
+    work = tmp_path_factory.mktemp("fuzz")
+    corpus = work / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    stages = [
+        ["prune", "--corpus", corpus, "--method", method, "--tau", tau, "--seed", seed,
+         "--ga-population", "8", "--ga-plateau", "3"],
+        ["diversity-report", "--corpus", corpus, "--tau", tau, "--split", split,
+         "--seed", seed],
+    ]
+    for i, argv in enumerate(stages):
+        first = _run_and_collect([*argv, "--out", work / f"{i}a"], work / f"{i}a")
+        again = _run_and_collect([*argv, "--out", work / f"{i}b"], work / f"{i}b")
+        assert first[0] in (0, 2)
+        assert again == first

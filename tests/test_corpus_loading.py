@@ -1,16 +1,20 @@
-"""``load_corpus`` against a per-record reference loader.
+"""``load_corpus`` against a per-record reference loader, and what it keeps.
 
 ``load_corpus`` checks provided vectors a block at a time, as one array, and
 falls back to per-record validation to name the first bad line. ``reference_load`` is the
 plain loop it replaces: decode a line, build its record, validate it, check
 its id, grow the pool. On every corpus the two must return equal corpora or
 raise the same ``SchemaError`` text.
+
+A loaded record keeps its vectors as read-only float64 rows of the checked
+blocks; saving them writes back the file they came from.
 """
 import gc
 import json
 import math
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -28,6 +32,7 @@ from fusepool.corpus import (
     load_corpus,
     save_corpus,
 )
+from fusepool.synthetic import correlated_pool, separable_confidences
 
 MODELS = ["m0", "m1", "m2"]
 
@@ -217,3 +222,49 @@ def test_a_vector_sums_left_to_right_in_float64(tmp_path):
     save_corpus(Corpus(records=[rec], model_ids=["m"]), path)
     with pytest.raises(SchemaError, match="line 1: record r: " + message):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: correlated_pool(6, 300, seed=3),  # 1,800 vectors: two blocks
+    lambda: separable_confidences(200, seed=1),
+], ids=["correlated_pool", "separable_confidences"])
+def test_a_saved_corpus_loads_equal_and_saves_back_byte_for_byte(tmp_path, build):
+    corpus = build()
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    save_corpus(corpus, first)
+    loaded = load_corpus(first)
+    assert loaded == corpus
+    save_corpus(loaded, again)
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_an_int_entry_is_loaded_and_saved_as_a_float(tmp_path):
+    rec = EpisodeRecord(id="r", task=TaskKind.mcq(3), prompt="q", ground_truth=0,
+                        choices=["a", "b", "c"], provided_choice_probs={"m": [1, 0, False]})
+    corpus = Corpus(records=[rec], model_ids=["m"])
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    save_corpus(corpus, first)
+    assert '"provided_choice_probs": {"m": [1, 0, false]}' in first.read_text()
+    loaded = load_corpus(first)
+    assert loaded == corpus
+    assert loaded.records[0].provided_choice_probs["m"].dtype == "float64"
+    save_corpus(loaded, again)
+    assert '"provided_choice_probs": {"m": [1.0, 0.0, 0.0]}' in again.read_text()
+
+
+def test_a_loaded_record_costs_at_most_2500_bytes(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    save_corpus(correlated_pool(24, 1000, n_clones=12, seed=0), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / len(corpus) <= 2500, f"{size / len(corpus):.0f} bytes per record"
+    vectors = corpus.records[0].provided_choice_probs
+    with pytest.raises(ValueError, match="read-only"):
+        vectors["clone-0"][0] = 0.5
+    with pytest.raises(TypeError):
+        vectors["clone-0"] = [1.0, 0.0, 0.0, 0.0]

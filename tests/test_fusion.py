@@ -342,6 +342,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(empty, None, (4, 2), TrainConfig())
 
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_is_refused(self, patience):
+        with pytest.raises(ValueError, match="early_stop_patience must be >= 1"):
+            TrainConfig(early_stop_patience=patience)
+
 
 class TestBuildTrainingData:
     def test_oeq_padding_and_targets(self):

@@ -229,6 +229,40 @@ class TestHarvest:
             assert [p.parsed for p in rec.passes["new"]] == [2, 2]
             assert rec.provided_choice_probs is None
 
+    def test_harvest_writes_the_other_models_vectors_back_unchanged(self, stub, tmp_path):
+        # Half the records are harvested for "new" and "b": b's vector gives way
+        # to its passes and a's stays; the other half are written back as read.
+        rng = random.Random(7)
+        records = []
+        for i in range(8):
+            probs = {}
+            for model in ("a", "b"):
+                raw = [rng.random() for _ in range(4)]
+                probs[model] = [x / sum(raw) for x in raw]
+            records.append(mcq_record(f"q{i}", gold=1, probs=probs))
+        corpus_path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records=records, model_ids=["a", "b"]), corpus_path)
+        stub.set("new", ("ok", "The answer is (C)."))
+        stub.set("b", ("ok", "The answer is (C)."))
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps([{"base_url": stub.base_url, "model_name": name}
+                                         for name in ("new", "b")]))
+        out_path = tmp_path / "h.jsonl"
+        assert main(["harvest", "--corpus", str(corpus_path), "--endpoints", str(endpoints),
+                     "--out-corpus", str(out_path), "--alpha", "50"]) == 0
+        lines_in = corpus_path.read_text().splitlines()
+        lines_out = out_path.read_text().splitlines()
+        harvested = 0
+        for line_in, line_out in zip(lines_in, lines_out, strict=True):
+            row_in, row_out = json.loads(line_in), json.loads(line_out)
+            if row_out["passes"]:
+                harvested += 1
+                kept = {"a": row_in["provided_choice_probs"]["a"]}
+                assert row_out["provided_choice_probs"] == kept
+            else:
+                assert line_out == line_in
+        assert harvested == 4
+
     def test_validation(self, stub):
         with pytest.raises(ValueError):
             harvest(queries(1), [], k=1)
