@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import random
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from .diversity import FailureRule
 from .evaluation import evaluate_records, train_and_score_split
 from .fusion import TrainConfig, load_params, save_params
 from .harvest import (
+    DEFAULT_MAX_IN_FLIGHT,
     AuthError,
     EndpointConfig,
     PromptTemplate,
@@ -56,32 +58,31 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
-def _percent(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value <= 100:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a percent in (0, 100], got {text}")
-    return value
+def _float_where(ok, bound: str):
+    """The argparse type of a float flag whose value must pass ``ok``; NaN never does."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    return parse
 
 
-def _unit_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 <= value <= 1:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
-    return value
+_percent = _float_where(lambda v: 0 < v <= 100, "a percent in (0, 100]")
+_unit_fraction = _float_where(lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_positive_finite = _float_where(lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--val-frac", type=float, default=0.15)
-    p.add_argument("--test-frac", type=float, default=0.15)
+    p.add_argument("--train-frac", type=_unit_fraction, default=0.7)
+    p.add_argument("--val-frac", type=_unit_fraction, default=0.15)
+    p.add_argument("--test-frac", type=_unit_fraction, default=0.15)
 
 
 def _add_task_flag(p: argparse.ArgumentParser) -> None:
@@ -107,16 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_percent, default=100.0,
                    help="percent of queries to harvest")
     p.add_argument("--template-file", help="prompt template text file")
-    p.add_argument("--max-in-flight", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-in-flight", type=_positive_int, default=DEFAULT_MAX_IN_FLIGHT)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("prune", help="rank candidate sub-ensembles")
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--topk", type=_positive_int, default=5)
-    p.add_argument("--w1", type=float, default=0.6)
-    p.add_argument("--w2", type=float, default=0.4)
+    p.add_argument("--w1", type=_unit_fraction, default=0.6)
+    p.add_argument("--w2", type=_unit_fraction, default=0.4)
     p.add_argument("--method", choices=["auto", "bf", "ga"], default="auto")
     p.add_argument("--ga-population", type=_int_at_least(GA_MIN_POPULATION), default=50)
     p.add_argument("--ga-plateau", type=_positive_int, default=100)
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick the ensemble uniformly among the top-k")
     p.add_argument("--tau", type=_unit_fraction, default=0.5,
                    help="unigram-recall failure threshold for generative tasks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
     p = sub.add_parser("train-weighted", help="train the fusion combiner")
@@ -133,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--k-passes", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=200)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=_positive_finite, default=1e-3)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     p.add_argument("--patience", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
     p = sub.add_parser("evaluate", help="score the trained combiner on the test split")
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--k-passes", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
     p = sub.add_parser("diversity-report",
@@ -153,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--w1", type=float, default=0.6)
-    p.add_argument("--w2", type=float, default=0.4)
+    p.add_argument("--w1", type=_unit_fraction, default=0.6)
+    p.add_argument("--w2", type=_unit_fraction, default=0.4)
     p.add_argument("--tau", type=_unit_fraction, default=0.5)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="val")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
     p = sub.add_parser("summarize-prep",
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--budget", type=int, default=16396, help="token budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 

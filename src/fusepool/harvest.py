@@ -1,17 +1,19 @@
 """K-pass output collection from OpenAI-compatible chat-completion endpoints.
 
-A harvest is one work queue of (query, model) pass chains; a chain requests
-its K passes one after another. Two bounds hold at every instant: at most
-``max_in_flight`` requests in the whole run, and at most one per endpoint.
-A free worker takes the lowest (query, model) chain that is ready and whose
-endpoint is idle, so no query waits for another's slowest model. A failed
-request puts its chain back with a not-before time (jittered exponential
-backoff) instead of sleeping in the worker, so a pending retry holds no
-slot. A pass that exhausts its retries is recorded with status "missing",
-never dropped. A pass's ``latency_s`` is the summed round-trip time of its
-requests, failed attempts included; the backoff and queue waits between
-them are not. An authentication failure stops the harvest: no new request
-starts, the ones in flight finish, and ``AuthError`` names the endpoint.
+A harvest is a set of (query, model) pass chains; a chain requests its K
+passes one after another. The thread that calls ``harvest`` owns the whole
+schedule and hands each request to a small thread pool that only sends.
+Two bounds hold at every instant: at most ``max_in_flight`` requests in the
+whole run, and at most one per endpoint. While a slot is free, the lowest
+(query, model) chain that is ready and whose endpoint is idle gets its next
+request, so no query waits for another's slowest model. A failed request
+puts its chain back with a not-before time (jittered exponential backoff),
+so a pending retry holds no slot. A pass that exhausts its retries is
+recorded with status "missing", never dropped. A pass's ``latency_s`` is the
+summed round-trip time of its requests, failed attempts included; the
+backoff and queue waits between them are not. An authentication failure
+stops the harvest: no new request starts, the ones in flight finish, and
+``AuthError`` names the endpoint.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import logging
 import os
 import random
 import re
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -167,127 +168,84 @@ class _Chain:
     spent_s: float = 0.0  # round-trip time of this pass's attempts so far
 
 
-class _PassQueue:
-    """The (query, model) pass chains of one harvest, served by a few workers.
+def _timed_completion(endpoint: EndpointConfig, prompt: str, temperature: float,
+                      attempt: int) -> tuple[str | None, float]:
+    """One request, sent from a pool thread: its reply and its round-trip time."""
+    start = time.monotonic()
+    text = _request_completion(endpoint, prompt, temperature, attempt)
+    return text, time.monotonic() - start
 
-    A free worker takes the lowest (query, model) chain that is ready and
-    whose endpoint has no request in flight, sends one request and puts the
-    chain back: ready for its next pass, finished after K passes, or waiting
-    for a not-before time after a failure that has retries left. So a retry
-    holds no worker while it waits, and no query waits for another.
-    """
 
-    def __init__(self, records: list[EpisodeRecord], endpoints: list[EndpointConfig], k: int,
-                 templates: list[PromptTemplate], backoff_base_s: float,
-                 backoff_cap_s: float, seed: int) -> None:
-        self.records = records
-        self.endpoints = endpoints
-        self.k = k
-        self.templates = templates
-        self.backoff = (backoff_base_s, backoff_cap_s)
-        self.seed = seed
-        self.temperatures = [
-            e.temperature if e.temperature is not None else (0.7 if k > 1 else 0.0)
-            for e in endpoints
-        ]
-        self.passes: list[list[list[RawPass]]] = [[[] for _ in endpoints] for _ in records]
-        self.error: BaseException | None = None
-        self._ready = [list(range(len(records))) for _ in endpoints]  # heaps of query indices
-        self._waiting: list[list[tuple[float, int]]] = [[] for _ in endpoints]  # (not_before, q)
-        self._busy = [False] * len(endpoints)
-        self._chains: dict[tuple[int, int], _Chain] = {}
-        self._left = len(records) * len(endpoints)  # chains without all K passes
-        self._stopped = False
-        self._cond = threading.Condition()
+def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig], k: int,
+                    templates: list[PromptTemplate], max_in_flight: int,
+                    backoff: tuple[float, float], seed: int) -> list[list[list[RawPass]]]:
+    """K passes per (query, model) chain, scheduled by the calling thread alone."""
+    # Imported here, like requests, so that the stages that never send skip it.
+    from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 
-    def run(self, workers: int) -> None:
-        """Serve every chain with ``workers`` threads, all joined before returning."""
-        threads = [threading.Thread(target=self._work, name=f"harvest-{i}", daemon=True)
-                   for i in range(workers)]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:  # on an interrupt, no new request starts; the ones in flight finish
-            self._stop(None)
-            for t in threads:
-                if t.is_alive():
-                    t.join()
-        if self.error is not None:
-            raise self.error
-
-    def _stop(self, error: BaseException | None) -> None:
-        with self._cond:
-            if self.error is None:
-                self.error = error
-            self._stopped = True
-            self._cond.notify_all()
-
-    def _take(self) -> tuple[int, int, _Chain] | None:
-        """Wait for a chain to serve, holding the lock; None once the run is over."""
-        while not self._stopped and self._left:
+    temperatures = [e.temperature if e.temperature is not None else (0.7 if k > 1 else 0.0)
+                    for e in endpoints]
+    passes: list[list[list[RawPass]]] = [[[] for _ in endpoints] for _ in records]
+    ready = [list(range(len(records))) for _ in endpoints]  # heaps of query indices
+    waiting: list[list[tuple[float, int]]] = [[] for _ in endpoints]  # (not_before, q)
+    busy = [False] * len(endpoints)
+    chains: dict[tuple[int, int], _Chain] = {}
+    in_flight: dict[Future, tuple[int, int]] = {}
+    left = len(records) * len(endpoints)  # chains without all K passes
+    # Leaving the pool's block, on an error or an interrupt too, waits for the
+    # requests in flight and joins every pool thread; no new request starts.
+    with ThreadPoolExecutor(min(len(endpoints), max_in_flight), "harvest-pool") as pool:
+        while left:
             now = time.monotonic()
-            best = None
-            wake = None
-            for m, (ready, waiting) in enumerate(zip(self._ready, self._waiting)):
-                if self._busy[m]:
+            best = wake = None
+            for m, (ready_m, waiting_m) in enumerate(zip(ready, waiting)):
+                if busy[m]:
                     continue
-                while waiting and waiting[0][0] <= now:
-                    heapq.heappush(ready, heapq.heappop(waiting)[1])
-                if ready and (best is None or ready[0] < best[0]):
-                    best = (ready[0], m)
-                if waiting and (wake is None or waiting[0][0] < wake):
-                    wake = waiting[0][0]
-            if best is not None:
+                while waiting_m and waiting_m[0][0] <= now:
+                    heapq.heappush(ready_m, heapq.heappop(waiting_m)[1])
+                if ready_m and (best is None or ready_m[0] < best[0]):
+                    best = (ready_m[0], m)
+                if waiting_m and (wake is None or waiting_m[0][0] < wake):
+                    wake = waiting_m[0][0]
+            slot_free = len(in_flight) < max_in_flight
+            if slot_free and best is not None:
                 q, m = best
-                heapq.heappop(self._ready[m])
-                self._busy[m] = True
-                chain = self._chains.get((q, m))
+                heapq.heappop(ready[m])
+                busy[m] = True
+                chain = chains.get((q, m))
                 if chain is None:
-                    record = self.records[q]
-                    rng_key = f"{self.seed}:{self.endpoints[m].model_name}:{record.id}"
-                    chain = self._chains[q, m] = _Chain(
-                        prompt=self.templates[q].render(record), rng=random.Random(rng_key)
-                    )
-                return q, m, chain
-            self._cond.wait(None if wake is None else wake - now)
-        return None
-
-    def _work(self) -> None:
-        try:  # a template that fails to render raises in _take
-            while True:
-                with self._cond:
-                    unit = self._take()
-                if unit is None:
-                    return
-                self._serve(*unit)
-        except BaseException as exc:  # harvest() re-raises it after the join
-            self._stop(exc)
-
-    def _serve(self, q: int, m: int, chain: _Chain) -> None:
-        endpoint, record = self.endpoints[m], self.records[q]
-        start = time.monotonic()
-        text = _request_completion(endpoint, chain.prompt, self.temperatures[m], chain.attempt)
-        chain.spent_s += time.monotonic() - start
-        not_before = None
-        if text is None and chain.attempt < endpoint.max_retries:
-            not_before = time.monotonic() + _backoff_delay(chain.attempt, *self.backoff, chain.rng)
-            chain.attempt += 1
-        else:
-            done = self.passes[q][m]
-            done.append(parse_pass(text, record.task, record.choices, latency_s=chain.spent_s))
-            chain.attempt, chain.spent_s = 0, 0.0
-        with self._cond:
-            if not_before is not None:
-                heapq.heappush(self._waiting[m], (not_before, q))
-            elif len(done) < self.k:
-                heapq.heappush(self._ready[m], q)
-            else:
-                del self._chains[q, m]
-                self._left -= 1
-            self._busy[m] = False
-            self._cond.notify_all()
+                    rng_key = f"{seed}:{endpoints[m].model_name}:{records[q].id}"
+                    chain = chains[q, m] = _Chain(templates[q].render(records[q]),
+                                                  random.Random(rng_key))
+                in_flight[pool.submit(_timed_completion, endpoints[m], chain.prompt,
+                                      temperatures[m], chain.attempt)] = (q, m)
+                continue
+            if not in_flight:  # every chain left is waiting out a backoff
+                time.sleep(wake - now)
+                continue
+            timeout = wake - now if slot_free and wake is not None else None
+            replied, _ = wait(in_flight, timeout, FIRST_COMPLETED)
+            for future in replied:
+                q, m = in_flight.pop(future)
+                busy[m] = False
+                text, round_trip_s = future.result()  # an AuthError stops the run here
+                chain = chains[q, m]
+                chain.spent_s += round_trip_s
+                if text is None and chain.attempt < endpoints[m].max_retries:
+                    delay = _backoff_delay(chain.attempt, *backoff, chain.rng)
+                    heapq.heappush(waiting[m], (time.monotonic() + delay, q))
+                    chain.attempt += 1
+                    continue
+                done = passes[q][m]
+                done.append(parse_pass(text, records[q].task, records[q].choices,
+                                       latency_s=chain.spent_s))
+                chain.attempt, chain.spent_s = 0, 0.0
+                if len(done) < k:
+                    heapq.heappush(ready[m], q)
+                else:
+                    del chains[q, m]
+                    left -= 1
+    return passes
 
 
 def harvest(
@@ -318,10 +276,10 @@ def harvest(
         raise ValueError("duplicate model names across endpoints")
     records = queries.records
     templates = [template or default_template(record.task) for record in records]
-    queue = _PassQueue(records, endpoints, k, templates, backoff_base_s, backoff_cap_s, seed)
-    queue.run(workers=min(len(endpoints), max_in_flight))
+    passes = _collect_passes(records, endpoints, k, templates, max_in_flight,
+                             (backoff_base_s, backoff_cap_s), seed)
     out_records = []
-    for record, harvested_passes in zip(records, queue.passes):
+    for record, harvested_passes in zip(records, passes):
         passes = {**record.passes, **dict(zip(names, harvested_passes))}
         probs = record.provided_choice_probs
         if probs is not None:

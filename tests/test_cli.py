@@ -306,6 +306,23 @@ class TestErrors:
         (["prune", "--ga-population", "0"], "--ga-population"),
         (["prune", "--ga-population", "3"], "--ga-population"),
         (["prune", "--ga-plateau", "0"], "--ga-plateau"),
+        (["harvest", "--seed", "-1"], "--seed"),
+        (["prune", "--seed", "-1"], "--seed"),
+        (["train-weighted", "--seed", "-1"], "--seed"),
+        (["evaluate", "--seed", "-1"], "--seed"),
+        (["diversity-report", "--seed", "-1"], "--seed"),
+        (["summarize-prep", "--seed", "-1"], "--seed"),
+        (["prune", "--w1", "nan"], "--w1"),
+        (["prune", "--w2", "-0.5"], "--w2"),
+        (["diversity-report", "--w1", "1.5"], "--w1"),
+        (["diversity-report", "--w2", "inf"], "--w2"),
+        (["prune", "--train-frac", "nan"], "--train-frac"),
+        (["train-weighted", "--val-frac", "-0.1"], "--val-frac"),
+        (["evaluate", "--test-frac", "2"], "--test-frac"),
+        (["train-weighted", "--learning-rate", "-1"], "--learning-rate"),
+        (["train-weighted", "--learning-rate", "0"], "--learning-rate"),
+        (["train-weighted", "--learning-rate", "nan"], "--learning-rate"),
+        (["train-weighted", "--learning-rate", "inf"], "--learning-rate"),
     ])
     def test_numeric_flag_out_of_range_is_named(self, tmp_path, capsys, argv, flag):
         paths = ["--corpus", tmp_path / "c.jsonl"]
@@ -377,6 +394,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value, message", [
         ("topk", 0, "must be a positive integer, got 0"),
         ("tau", float("nan"), "must be a number in [0, 1], got nan"),
+        ("seed", -1, "must be an integer >= 0, got -1"),
+        ("w1", float("nan"), "must be a number in [0, 1], got nan"),
+        ("train-frac", 1.5, "must be a number in [0, 1], got 1.5"),
     ])
     def test_prune_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus,
                                                             capsys, key, value, message):
@@ -393,6 +413,8 @@ class TestConfigFile:
         ("k-passes", 0, "must be a positive integer, got 0"),
         ("epochs", 0, "must be a positive integer, got 0"),
         ("batch-size", 0, "must be a positive integer, got 0"),
+        ("learning-rate", -1, "must be a positive finite number, got -1"),
+        ("seed", -1, "must be an integer >= 0, got -1"),
     ])
     def test_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus, capsys,
                                                       key, value, message):
@@ -477,9 +499,16 @@ def test_train_weighted_refuses_a_rate_that_cannot_train(tmp_path, capsys, rate)
     out = tmp_path / "run"
     assert run("prune", "--corpus", path, "--out", out) == 0
     capsys.readouterr()
-    assert run("train-weighted", "--corpus", path, "--out", out, "--epochs", "5",
-               "--learning-rate", rate) == 2
-    assert "learning" in capsys.readouterr().err
+    argv = ["train-weighted", "--corpus", path, "--out", out, "--epochs", "5",
+            "--learning-rate", rate]
+    if rate == "1e300":  # finite, so only the diverged loss shows it
+        assert run(*argv) == 2
+        assert "learning" in capsys.readouterr().err
+    else:  # refused while parsing, naming the flag
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+        assert "argument --learning-rate: must be a" in capsys.readouterr().err
     assert not (out / "fusion_params.json").exists()
 
 

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import random
 import sys
@@ -360,6 +361,41 @@ class TestQueue:
             harvest(queries(2), [endpoint(stub, "a"), endpoint(stub, "b")], k=1,
                     template=template)
         assert stub.log == []
+
+    def test_latency_leaves_out_the_backoff(self, stub):
+        stub.set("a", ("fail", "The answer is (A)."), failures=1, delay=0.05)
+        out = harvest(queries(1), [endpoint(stub, "a")], k=1,
+                      backoff_base_s=0.6, backoff_cap_s=0.6)
+        failed, ok = stub.calls("a")
+        assert ok.arrived - failed.replied >= 0.3  # the backoff was waited out
+        (only,) = out.records[0].passes["a"]
+        assert only.status == "ok"
+        assert 0.1 <= only.latency_s < 0.3  # two round trips of 0.05 s, no backoff
+
+    def test_no_pool_thread_outlives_the_run(self, stub, monkeypatch):
+        module = importlib.import_module("fusepool.harvest")
+        send = module._request_completion
+        senders = set()
+
+        def recording_send(*args):
+            senders.add(threading.current_thread().name)
+            return send(*args)
+
+        monkeypatch.setattr(module, "_request_completion", recording_send)
+        stub.set("a", ("ok", "The answer is (A)."))
+        stub.set("b", ("ok", "The answer is (B)."))
+        harvest(queries(3), [endpoint(stub, "a"), endpoint(stub, "b")], k=2)
+        assert senders and all(name.startswith("harvest-") for name in senders)
+        assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
+        # q10 renders, q1 has no character 11: the run stops after q10's request.
+        template = PromptTemplate(task=mcq_record("q").task,
+                                  template_text="{question}\n{choices} {question[11]}")
+        corpus = Corpus(records=[mcq_record("q10"), mcq_record("q1")], model_ids=[])
+        senders.clear()
+        with pytest.raises(IndexError):
+            harvest(corpus, [endpoint(stub, "a")], k=1, template=template)
+        assert len(senders) == 1 and len(stub.calls("a", "q10")) == 1
+        assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
 
     def test_max_in_flight_must_be_positive(self, stub):
         with pytest.raises(ValueError, match="max_in_flight"):
