@@ -1,5 +1,7 @@
 """fusepool: diversity-optimized LLM sub-ensemble selection and learned fusion."""
 
+__version__ = "0.1.0"  # first, so that submodules can read it while the package loads
+
 from .answers import (
     ChoiceDistribution,
     SolutionSet,
@@ -54,5 +56,3 @@ from .summary_prep import (
     receptive_field,
     serialize_inputs,
 )
-
-__version__ = "0.1.0"

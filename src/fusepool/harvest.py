@@ -14,17 +14,31 @@ summed round-trip time of its requests, failed attempts included; the
 backoff and queue waits between them are not. An authentication failure
 stops the harvest: no new request starts, the ones in flight finish, and
 ``AuthError`` names the endpoint.
+
+Each attempt is one standard-library ``urllib.request`` POST on a new
+connection. Proxies come from the ``*_PROXY`` and ``NO_PROXY`` environment
+variables, TLS is verified with the default SSL context, and no redirect is
+followed, so a 3xx is a failed attempt and the ``Authorization`` header never
+reaches another host. A 401 or 403 raises ``AuthError``; any other 4xx but
+408 and 429 fails the pass at once, as "missing". Every other failure (a
+408, 429, 3xx or 5xx, a network error or timeout, or a reply without a text
+``choices[0].message.content``) is retried.
 """
 from __future__ import annotations
 
 import heapq
+import json
 import logging
+import math
 import os
 import random
 import re
+import threading
 import time
 from dataclasses import dataclass, replace
+from urllib.parse import urlsplit
 
+from . import __version__
 from .answers import canonical_answer
 from .corpus import Corpus, EpisodeRecord, RawPass, TaskKind
 from .metrics import bleu1
@@ -32,10 +46,19 @@ from .metrics import bleu1
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_IN_FLIGHT = 16
+_USER_AGENT = f"fusepool/{__version__}"
 
 
 class AuthError(RuntimeError):
     """The endpoint rejected our credentials; retrying cannot help."""
+
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -49,14 +72,27 @@ class EndpointConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ValueError("base_url required")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(f"base_url must be an http:// or https:// URL, "
+                             f"got {self.base_url!r}")
+        if not isinstance(self.model_name, str) or not self.model_name:
+            raise ValueError("model_name must be non-empty text")
+        if not isinstance(self.api_key_env, str):
+            raise ValueError("api_key_env must be text")
+        # The socket layer refuses a timeout above threading.TIMEOUT_MAX.
+        if not (_is_number(self.timeout_s) and 0 < self.timeout_s <= threading.TIMEOUT_MAX):
+            raise ValueError(f"timeout_s must be a finite number > 0 and at most "
+                             f"{threading.TIMEOUT_MAX:.0f}, got {self.timeout_s!r}")
+        if not (_is_int(self.max_retries) and self.max_retries >= 0):
+            raise ValueError(f"max_retries must be an int >= 0, got {self.max_retries!r}")
+        if not (_is_int(self.max_tokens) and self.max_tokens >= 1):
+            raise ValueError(f"max_tokens must be an int >= 1, got {self.max_tokens!r}")
+        if self.temperature is not None and not (
+                _is_number(self.temperature) and math.isfinite(self.temperature)
+                and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, "
+                             f"got {self.temperature!r}")
 
     def api_key(self) -> str | None:
         return os.environ.get(self.api_key_env) if self.api_key_env else None
@@ -111,36 +147,66 @@ def _backoff_delay(attempt: int, base_s: float, cap_s: float, rng: random.Random
     return delay * (0.5 + rng.random() / 2)
 
 
-def _request_completion(
-    endpoint: EndpointConfig, prompt: str, temperature: float, attempt: int
-) -> str | None:
-    """One request to one endpoint; None when it failed and may be retried."""
-    import requests  # only harvesting sends; every other stage skips the import
+def _no_redirect_opener():
+    """An opener like urllib's default (environment proxies, verified TLS) that
+    follows no redirect, so a 3xx is an error and no header leaves the host."""
+    import urllib.request  # only harvesting sends; every other stage skips the import
 
-    url = endpoint.base_url.rstrip("/") + "/chat/completions"
-    headers = {"Content-Type": "application/json"}
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
+
+
+def _reply_text(reply: object) -> str:
+    match reply:
+        case {"choices": [{"message": {"content": str() as text}}, *_]}:
+            return text
+    raise ValueError("reply has no text at choices[0].message.content")
+
+
+def _request_completion(opener, endpoint: EndpointConfig, prompt: str, temperature: float,
+                        attempt: int) -> tuple[str | None, bool, float]:
+    """One attempt on a new connection, sent from a pool thread.
+
+    Returns the reply text (None when the attempt failed), whether a failed
+    attempt may be retried, and the round-trip time.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
     key = endpoint.api_key()
     if key:
         headers["Authorization"] = f"Bearer {key}"
-    payload = {
+    body = json.dumps({
         "model": endpoint.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": temperature,
         "max_tokens": endpoint.max_tokens,
-    }
+    }, allow_nan=False).encode()
+    request = urllib.request.Request(endpoint.base_url.rstrip("/") + "/chat/completions",
+                                     data=body, headers=headers, method="POST")
+    start = time.monotonic()
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout_s)
-        if resp.status_code in (401, 403):
+        with opener.open(request, timeout=endpoint.timeout_s) as resp:
+            reply = resp.read()
+        return _reply_text(json.loads(reply)), True, time.monotonic() - start
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        if exc.code in (401, 403):
             raise AuthError(
                 f"authentication failed for {endpoint.base_url} "
                 f"(model {endpoint.model_name}, key env {endpoint.api_key_env!r})"
-            )
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
-    except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-        log.warning("%s attempt %d/%d failed: %s", endpoint.model_name,
-                    attempt + 1, endpoint.max_retries + 1, exc)
-        return None
+            ) from None
+        error, retry = exc, not 400 <= exc.code < 500 or exc.code in (408, 429)
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        error, retry = exc, True  # network errors, timeouts, replies that do not decode
+    log.warning("%s attempt %d/%d failed: %s%s", endpoint.model_name, attempt + 1,
+                endpoint.max_retries + 1, error, "" if retry else " (not retried)")
+    return None, retry, time.monotonic() - start
 
 
 def parse_pass(raw_text: str | None, task: TaskKind, choices: list[str] | None,
@@ -168,21 +234,14 @@ class _Chain:
     spent_s: float = 0.0  # round-trip time of this pass's attempts so far
 
 
-def _timed_completion(endpoint: EndpointConfig, prompt: str, temperature: float,
-                      attempt: int) -> tuple[str | None, float]:
-    """One request, sent from a pool thread: its reply and its round-trip time."""
-    start = time.monotonic()
-    text = _request_completion(endpoint, prompt, temperature, attempt)
-    return text, time.monotonic() - start
-
-
 def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig], k: int,
                     templates: list[PromptTemplate], max_in_flight: int,
                     backoff: tuple[float, float], seed: int) -> list[list[list[RawPass]]]:
     """K passes per (query, model) chain, scheduled by the calling thread alone."""
-    # Imported here, like requests, so that the stages that never send skip it.
+    # Imported here, like urllib.request, so that the stages that never send skip it.
     from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 
+    opener = _no_redirect_opener()
     temperatures = [e.temperature if e.temperature is not None else (0.7 if k > 1 else 0.0)
                     for e in endpoints]
     passes: list[list[list[RawPass]]] = [[[] for _ in endpoints] for _ in records]
@@ -217,8 +276,8 @@ def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig
                     rng_key = f"{seed}:{endpoints[m].model_name}:{records[q].id}"
                     chain = chains[q, m] = _Chain(templates[q].render(records[q]),
                                                   random.Random(rng_key))
-                in_flight[pool.submit(_timed_completion, endpoints[m], chain.prompt,
-                                      temperatures[m], chain.attempt)] = (q, m)
+                in_flight[pool.submit(_request_completion, opener, endpoints[m],
+                                      chain.prompt, temperatures[m], chain.attempt)] = (q, m)
                 continue
             if not in_flight:  # every chain left is waiting out a backoff
                 time.sleep(wake - now)
@@ -228,10 +287,11 @@ def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig
             for future in replied:
                 q, m = in_flight.pop(future)
                 busy[m] = False
-                text, round_trip_s = future.result()  # an AuthError stops the run here
+                # An AuthError stops the run here.
+                text, retry, round_trip_s = future.result()
                 chain = chains[q, m]
                 chain.spent_s += round_trip_s
-                if text is None and chain.attempt < endpoints[m].max_retries:
+                if text is None and retry and chain.attempt < endpoints[m].max_retries:
                     delay = _backoff_delay(chain.attempt, *backoff, chain.rng)
                     heapq.heappush(waiting[m], (time.monotonic() + delay, q))
                     chain.attempt += 1

@@ -147,6 +147,18 @@ class TestErrors:
         ([{"base_url": "", "model_name": "a"}], "entry 0"),
         ([["http://localhost:9", "a"]], "entry 0"),
         ({"base_url": "http://localhost:9", "model_name": "a"}, "JSON list"),
+        ([{"base_url": "file:///etc/passwd", "model_name": "a"}], "entry 0: base_url"),
+        ([{"base_url": "http://localhost:9", "model_name": "a"},
+          {"base_url": "http://localhost:9", "model_name": "b", "timeout_s": float("inf")}],
+         "entry 1: timeout_s"),
+        ([{"base_url": "http://localhost:9", "model_name": "a", "timeout_s": float("nan")}],
+         "entry 0: timeout_s"),
+        ([{"base_url": "http://localhost:9", "model_name": "a", "temperature": float("nan")}],
+         "entry 0: temperature"),
+        ([{"base_url": "http://localhost:9", "model_name": "a", "max_tokens": -5}],
+         "entry 0: max_tokens"),
+        ([{"base_url": "http://localhost:9", "model_name": "a", "max_retries": 1.5}],
+         "entry 0: max_retries"),
     ])
     def test_bad_endpoints_file_names_the_entry(self, tmp_path, pool_corpus, capsys,
                                                 entries, named):
@@ -512,8 +524,9 @@ def test_train_weighted_refuses_a_rate_that_cannot_train(tmp_path, capsys, rate)
     assert not (out / "fusion_params.json").exists()
 
 
-def test_importing_the_cli_does_not_load_requests():
-    code = "import sys, fusepool.cli; print('requests' in sys.modules)"
+@pytest.mark.parametrize("module", ["requests", "urllib.request", "concurrent.futures"])
+def test_importing_the_cli_does_not_load_requests(module):
+    code = f"import sys, fusepool.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(fusepool.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

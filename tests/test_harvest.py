@@ -1,15 +1,19 @@
 import copy
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import fusepool
 from fusepool.cli import main
 from fusepool.corpus import Corpus, load_corpus, save_corpus
 from fusepool.harvest import (
@@ -46,19 +50,26 @@ class Call:
 class StubEndpoint:
     """Scripted chat-completions server: per-model behaviors keyed by model name.
 
-    A behavior is ("ok", text), ("fail", n_failures_then_text), ("auth",) or
-    ("count",), whose n-th reply to a (model, prompt) key says "reply n". A
-    model's first ``failures`` requests get HTTP 500 under "fail" and "count".
-    Each request waits the model's ``delay`` seconds before its reply, and
-    ``log`` stamps its arrival and reply on the monotonic clock.
+    A behavior is ("ok", text), ("fail", n_failures_then_text), ("auth",),
+    ("count",), whose n-th reply to a (model, prompt) key says "reply n", or
+    ("raw", body), whose 200 reply carries ``body`` verbatim. A model's first
+    ``failures`` requests get HTTP ``status`` (500 unless set) under "fail"
+    and "count"; a 3xx points its Location back at this server. Each request
+    waits the model's ``delay`` seconds before its reply, and ``log`` stamps
+    its arrival and reply on the monotonic clock. A GET, which only a
+    followed redirect would send, is answered 404 and its path kept in
+    ``followed``; ``user_agents`` keeps each POST's User-Agent header.
     """
 
     def __init__(self):
         self.behaviors = {}
         self.failures_left = {}
+        self.failure_status = {}
         self.delays = {}
         self.replies = {}
         self.requests = []
+        self.user_agents = []
+        self.followed = []
         self.log = []
         self.lock = threading.Lock()
         stub = self
@@ -70,6 +81,7 @@ class StubEndpoint:
                 model = body["model"]
                 prompt = body["messages"][0]["content"]
                 stub.requests.append(body)
+                stub.user_agents.append(self.headers["User-Agent"])
                 time.sleep(stub.delays.get(model, 0.0))
                 behavior = stub.behaviors.get(model, ("ok", "stub says hi"))
                 with stub.lock:
@@ -77,7 +89,7 @@ class StubEndpoint:
                         status = 401
                     elif behavior[0] in ("fail", "count") and stub.failures_left.get(model, 0):
                         stub.failures_left[model] -= 1
-                        status = 500
+                        status = stub.failure_status.get(model, 500)
                     else:
                         status = 200
                     if behavior[0] == "count" and status == 200:
@@ -89,16 +101,26 @@ class StubEndpoint:
                     stub.log.append(Call(model, prompt, arrived, time.monotonic(), status))
                 if status != 200:
                     self.send_response(status)
+                    if 300 <= status < 400:
+                        self.send_header("Location", stub.base_url + "/chat/completions")
                     self.end_headers()
                     return
-                payload = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": text}}]}
-                ).encode()
+                if behavior[0] == "raw":
+                    payload = text.encode()
+                else:
+                    payload = json.dumps(
+                        {"choices": [{"message": {"role": "assistant", "content": text}}]}
+                    ).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            def do_GET(self):
+                stub.followed.append(self.path)
+                self.send_response(404)
+                self.end_headers()
 
             def log_message(self, *args):
                 pass
@@ -114,10 +136,11 @@ class StubEndpoint:
         host, port = self.server.server_address
         return f"http://{host}:{port}/v1"
 
-    def set(self, model, behavior, failures=0, delay=0.0):
+    def set(self, model, behavior, failures=0, delay=0.0, status=500):
         self.behaviors[model] = behavior
         if failures:
             self.failures_left[model] = failures
+            self.failure_status[model] = status
         if delay:
             self.delays[model] = delay
 
@@ -271,6 +294,96 @@ class TestHarvest:
             harvest(queries(1), [endpoint(stub, "m")], k=0)
         with pytest.raises(ValueError):
             harvest(queries(1), [endpoint(stub, "m"), endpoint(stub, "m")], k=1)
+        for field, value in [
+            ("base_url", "file:///etc/passwd"), ("base_url", "ftp://host/v1"),
+            ("base_url", "data:,x"), ("base_url", "localhost:8000/v1"), ("base_url", ""),
+            ("model_name", ""), ("model_name", 5), ("api_key_env", 5),
+            ("timeout_s", float("inf")), ("timeout_s", float("nan")), ("timeout_s", 0),
+            ("timeout_s", 1e10), ("timeout_s", True),
+            ("temperature", float("nan")), ("temperature", float("inf")),
+            ("temperature", -0.1), ("temperature", True),
+            ("max_tokens", -5), ("max_tokens", 0), ("max_tokens", 1.5), ("max_tokens", True),
+            ("max_retries", 1.5), ("max_retries", -1), ("max_retries", False),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                EndpointConfig(**{"base_url": stub.base_url, "model_name": "m", field: value})
+        EndpointConfig(base_url="HTTPS://example.org/v1", model_name="m", temperature=0,
+                       max_tokens=1, timeout_s=threading.TIMEOUT_MAX, max_retries=0)
+
+    @pytest.mark.parametrize("body", [
+        "[]", '{"choices": [{"message": {"content": 5}}]}', '{"choices": []}', "not json"])
+    def test_a_malformed_reply_is_a_failed_attempt(self, stub, body):
+        stub.set("odd", ("raw", body))
+        stub.set("alive", ("ok", "The answer is (D)."))
+        eps = [endpoint(stub, "odd", max_retries=1), endpoint(stub, "alive")]
+        out = harvest(queries(1), eps, k=2, backoff_base_s=0.01, backoff_cap_s=0.02)
+        rec = out.records[0]
+        assert [p.status for p in rec.passes["odd"]] == ["missing", "missing"]
+        assert len(stub.calls("odd")) == 4  # each pass: one attempt and one retry
+        assert [p.status for p in rec.passes["alive"]] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_a_client_error_fails_the_pass_at_once(self, stub, caplog, status):
+        stub.set("gone", ("fail", "never"), failures=99, status=status)
+        out = harvest(queries(1), [endpoint(stub, "gone", max_retries=2)], k=2,
+                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        assert len(stub.calls("gone")) == 2  # one request per pass
+        assert [p.status for p in out.records[0].passes["gone"]] == ["missing", "missing"]
+        assert f"HTTP Error {status}" in caplog.text
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_a_timeout_or_rate_limit_status_is_retried(self, stub, status):
+        stub.set("busy", ("fail", "The answer is (A)."), failures=2, status=status)
+        out = harvest(queries(1), [endpoint(stub, "busy", max_retries=2)], k=1,
+                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        assert len(stub.calls("busy")) == 3
+        assert out.records[0].passes["busy"][0].status == "ok"
+
+    @pytest.mark.parametrize("status", [302, 307, 308])
+    def test_a_redirect_is_a_failed_attempt_never_followed(self, stub, status):
+        stub.set("moved", ("fail", "never"), failures=99, status=status)
+        out = harvest(queries(1), [endpoint(stub, "moved", max_retries=1)], k=1,
+                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        assert len(stub.calls("moved")) == 2 and stub.followed == []
+        assert out.records[0].passes["moved"][0].status == "missing"
+
+    def test_each_request_names_the_client(self, stub):
+        harvest(queries(2), [endpoint(stub, "m")], k=1)
+        assert stub.user_agents == [f"fusepool/{fusepool.__version__}"] * 2
+
+    def test_proxies_come_from_the_environment(self, stub, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        host, port = stub.server.server_address
+        monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
+        stub.set("m", ("ok", "The answer is (B)."))
+        # Nothing listens on the endpoint itself: only the proxy can answer.
+        far = EndpointConfig(base_url="http://127.0.0.2:9/v1", model_name="m", max_retries=0)
+        out = harvest(queries(1), [far], k=1)
+        assert out.records[0].passes["m"][0].status == "ok"
+        assert len(stub.calls("m")) == 1
+        monkeypatch.setenv("no_proxy", "127.0.0.2")
+        out = harvest(queries(1), [far], k=1)
+        assert out.records[0].passes["m"][0].status == "missing"
+        assert len(stub.calls("m")) == 1
+
+    def test_harvest_needs_no_requests_package(self, stub, tmp_path):
+        stub.set("m", ("ok", "The answer is (B)."))
+        corpus_path = tmp_path / "q.jsonl"
+        save_corpus(queries(2), corpus_path)
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps([{"base_url": stub.base_url, "model_name": "m"}]))
+        out_path = tmp_path / "h.jsonl"
+        code = ("import sys; sys.modules['requests'] = None  # import requests fails\n"
+                "from fusepool.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fusepool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "harvest", "--corpus", str(corpus_path),
+             "--endpoints", str(endpoints), "--out-corpus", str(out_path), "--k-passes", "2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        for rec in load_corpus(out_path).records:
+            assert [p.parsed for p in rec.passes["m"]] == [1, 1]
 
 
 def most_at_once(calls):
@@ -327,8 +440,9 @@ class TestQueue:
         assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
 
     def test_each_chain_stores_its_passes_in_request_order(self, stub):
-        # More workers than cores and a tiny switch interval, so that a lost
-        # update to the shared queue would drop, repeat or reorder a pass.
+        # More pool threads than cores and a tiny switch interval, so that a
+        # reply stored for the wrong chain or out of turn would drop, repeat or
+        # reorder a pass.
         names = [f"m{i}" for i in range(6)]
         for i, name in enumerate(names):
             stub.set(name, ("count",), failures=i % 3, delay=0.005)
