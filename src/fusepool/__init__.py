@@ -22,7 +22,6 @@ from .corpus import (
 )
 from .diversity import (
     FailureMatrix,
-    FailureRule,
     FocalScore,
     failure_matrix,
     failure_vector,

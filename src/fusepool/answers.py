@@ -58,6 +58,13 @@ def answer_key(record: EpisodeRecord, answer: str | int):
     return answer if record.task.is_mcq else canonical_answer(answer)
 
 
+def answers_equal(record: EpisodeRecord, pred: str | int | None) -> bool:
+    """Task equality: choice index match for MCQ, canonical text match otherwise."""
+    if pred is None:
+        return False
+    return answer_key(record, pred) == answer_key(record, record.ground_truth)
+
+
 @dataclass
 class SolutionSet:
     """Shared finite answer domain: the top-K answers pooled across models."""

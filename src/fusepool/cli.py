@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from .answers import first_usable_text
-from .corpus import Corpus, SplitSpec, load_corpus, save_corpus, split, task_of
-from .diversity import FailureRule
+from .corpus import Corpus, SplitSpec, TaskKind, load_corpus, save_corpus, split, task_of
 from .evaluation import evaluate_records, train_and_score_split
 from .fusion import TrainConfig, load_params, save_params
 from .harvest import (
@@ -38,7 +37,7 @@ from .pruning import (
     search,
     write_candidates_csv,
 )
-from .summary_prep import BudgetError, serialize_inputs
+from .summary_prep import DEFAULT_TOKEN_BUDGET, BudgetError, serialize_inputs
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "bf", "ga"], default="auto")
     p.add_argument("--ga-population", type=_int_at_least(GA_MIN_POPULATION), default=50)
     p.add_argument("--ga-plateau", type=_positive_int, default=100)
-    p.add_argument("--random-pick", type=int, default=None, metavar="SEED",
+    p.add_argument("--random-pick", type=_non_negative_int, default=None, metavar="SEED",
                    help="pick the ensemble uniformly among the top-k")
     p.add_argument("--tau", type=_unit_fraction, default=0.5,
                    help="unigram-recall failure threshold for generative tasks")
@@ -166,15 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_task_flag(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=16396, help="token budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_TOKEN_BUDGET, help="token budget")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 
-def _load_checked(args) -> Corpus:
+def _load_checked(args) -> tuple[Corpus, TaskKind]:
+    """The ``--corpus`` file and its one task kind, checked against ``--task``."""
     corpus = load_corpus(args.corpus)
-    task_of(corpus.records, getattr(args, "task", None))
-    return corpus
+    return corpus, task_of(corpus.records, getattr(args, "task", None))
 
 
 def _split_spec(args) -> SplitSpec:
@@ -208,21 +207,17 @@ def _load_endpoints(path: str) -> list[EndpointConfig]:
 
 
 def cmd_harvest(args) -> int:
-    corpus = _load_checked(args)
+    corpus, task = _load_checked(args)
     endpoints = _load_endpoints(args.endpoints)
-    task = task_of(corpus.records)
     template = None
     if args.template_file:
         text = Path(args.template_file).read_text(encoding="utf-8")
         template = PromptTemplate(task=task, template_text=text)
-    if args.alpha < 100.0:
-        chosen = select_fraction(corpus, args.alpha, seed=args.seed)
-        subset = Corpus(
-            records=[r for r in corpus.records if r.id in chosen],
-            model_ids=list(corpus.model_ids),
-        )
-    else:
-        subset = corpus
+    chosen = select_fraction(corpus, args.alpha, seed=args.seed)
+    subset = Corpus(
+        records=[r for r in corpus.records if r.id in chosen],
+        model_ids=list(corpus.model_ids),
+    )
     harvested = harvest(
         subset,
         endpoints,
@@ -260,11 +255,11 @@ def _score_records(args, corpus: Corpus):
 
 def cmd_prune(args) -> int:
     config = GaConfig(population=args.ga_population, plateau_gens=args.ga_plateau, seed=args.seed)
-    corpus = _load_checked(args)
+    corpus, _ = _load_checked(args)
     if len(corpus.model_ids) < 2:
         raise ValueError("pruning needs a pool of at least 2 models")
     records = _score_records(args, corpus)
-    scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
+    scorer = build_scorer(corpus, records, args.w1, args.w2, args.tau)
     n = scorer.n_models
     method, ranked = search(scorer, args.method, config)
 
@@ -308,7 +303,7 @@ def _load_ensemble(out: Path, corpus: Corpus) -> dict:
 
 
 def cmd_train_weighted(args) -> int:
-    corpus = _load_checked(args)
+    corpus, _ = _load_checked(args)
     out = Path(args.out)
     ensemble = _load_ensemble(out, corpus)
     members = ensemble["members"]
@@ -341,7 +336,7 @@ def cmd_train_weighted(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    corpus = _load_checked(args)
+    corpus, task = _load_checked(args)
     out = Path(args.out)
     ensemble = _load_ensemble(out, corpus)
     params = load_params(_require_artifact(out / "fusion_params.json", "train-weighted"))
@@ -360,7 +355,7 @@ def cmd_evaluate(args) -> int:
     _, _, test_part = split(corpus, _split_spec(args))
     _require_episodes(test_part.records, "the test split is empty", "--test-frac")
     report = evaluate_records(test_part.records, ensemble["members"], params,
-                              args.k_passes, task_of(corpus.records).kind)
+                              args.k_passes, task.kind)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for row in report.predictions:
             fh.write(json.dumps(row, ensure_ascii=False))
@@ -373,14 +368,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diversity_report(args) -> int:
-    corpus = _load_checked(args)
+    corpus, _ = _load_checked(args)
     if args.split == "all":
         records = corpus.records
     else:
         parts = dict(zip(("train", "val", "test"), split(corpus, _split_spec(args))))
         records = _require_episodes(parts[args.split].records,
                                     f"the {args.split} split is empty", f"--{args.split}-frac")
-    scorer = build_scorer(corpus, records, args.w1, args.w2, FailureRule(tau=args.tau))
+    scorer = build_scorer(corpus, records, args.w1, args.w2, args.tau)
     report = diversity_report(scorer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,7 +395,7 @@ def cmd_diversity_report(args) -> int:
 
 
 def cmd_summarize_prep(args) -> int:
-    corpus = _load_checked(args)
+    corpus, _ = _load_checked(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     members = corpus.model_ids

@@ -31,17 +31,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .answers import answer_key, member_blocks, model_prediction
+from .answers import answers_equal, member_blocks, model_prediction
 from .corpus import EpisodeRecord
 from .metrics import unigram_recall
-
-
-@dataclass(frozen=True)
-class FailureRule:
-    """How a per-episode model failure is decided; tau is the GQ unigram-recall
-    threshold below which a generative answer counts as failed."""
-
-    tau: float = 0.5
 
 
 @dataclass
@@ -78,31 +70,25 @@ class FailureMatrix:
                 writer.writerow([episode_id, *(int(v) for v in row)])
 
 
-def failure_vector(
-    record: EpisodeRecord, model_id: str, rule: FailureRule = FailureRule()
-) -> bool:
+def failure_vector(record: EpisodeRecord, model_id: str, tau: float = 0.5) -> bool:
     """True when the model failed this episode under the task's error rule.
 
     MCQ/OEQ compare the model's prediction against the label (after
     canonicalization for OEQ); GQ fails when the unigram recall of the
-    prediction against the reference falls below tau. A missing prediction
-    is a failure.
+    prediction against the reference falls below ``tau``. A missing
+    prediction is a failure.
     """
     pred = model_prediction(record, model_id)
-    if pred is None:
-        return True
-    if record.task.kind == "gq":
-        return unigram_recall(pred, record.ground_truth) < rule.tau
-    return answer_key(record, pred) != answer_key(record, record.ground_truth)
+    if pred is not None and record.task.kind == "gq":
+        return unigram_recall(pred, record.ground_truth) < tau
+    return not answers_equal(record, pred)
 
 
 def failure_matrix(
-    records: Sequence[EpisodeRecord],
-    model_ids: Sequence[str],
-    rule: FailureRule = FailureRule(),
+    records: Sequence[EpisodeRecord], model_ids: Sequence[str], tau: float = 0.5
 ) -> FailureMatrix:
     rows = np.array(
-        [[failure_vector(rec, m, rule) for m in model_ids] for rec in records],
+        [[failure_vector(rec, m, tau) for m in model_ids] for rec in records],
         dtype=bool,
     ).reshape(len(records), len(model_ids))
     return FailureMatrix(

@@ -5,9 +5,8 @@ import logging
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from .answers import VoteTable, answer_key
+from .answers import VoteTable, answers_equal
 from .corpus import Corpus, EpisodeRecord, SplitSpec, split, task_of
-from .diversity import FailureRule
 from .fusion import (
     FusionData,
     FusionParameters,
@@ -21,13 +20,6 @@ from .fusion import (
 from .pruning import GaConfig, build_scorer, search
 
 log = logging.getLogger(__name__)
-
-
-def answers_equal(record: EpisodeRecord, pred) -> bool:
-    """Task equality: choice index match for MCQ, canonical text match otherwise."""
-    if pred is None:
-        return False
-    return answer_key(record, pred) == answer_key(record, record.ground_truth)
 
 
 def plurality_accuracy(table: VoteTable) -> float:
@@ -151,7 +143,7 @@ def run_split_protocol(
     config: TrainConfig | None = None,
     w1: float = 0.6,
     w2: float = 0.4,
-    rule: FailureRule = FailureRule(),
+    tau: float = 0.5,
 ) -> list[float]:
     """Repeated train/test protocol; returns the test accuracy per repeat.
 
@@ -167,7 +159,7 @@ def run_split_protocol(
         train_all, _, test_part = split(corpus, outer, repeat=repeat)
         train_part, val_part, _ = split(train_all, carve, repeat=repeat)
         if members is None:
-            scorer = build_scorer(corpus, val_part.records, w1, w2, rule)
+            scorer = build_scorer(corpus, val_part.records, w1, w2, tau)
             _, ranked = search(scorer, config=GaConfig(seed=seed + repeat))
             picked = ranked[0].members(corpus.model_ids)
         else:

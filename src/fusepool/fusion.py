@@ -101,7 +101,7 @@ def init_params(dims: Sequence[int], seed: int = 0) -> FusionParameters:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) is exactly exp(-z) for z >= 0 and exp(z) below, and never overflows.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _as_batch(features: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -30,43 +30,9 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def token_f1(pred: str, gold: str) -> float:
-    """Harmonic mean of token precision/recall over normalized bags of tokens."""
-    pred_tokens = normalize_answer(pred).split()
-    gold_tokens = normalize_answer(gold).split()
-    if not pred_tokens and not gold_tokens:
-        return 1.0
-    if not pred_tokens or not gold_tokens:
-        return 0.0
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(pred_tokens)
-    recall = overlap / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
-def bleu1(candidate: str, reference: str) -> float:
-    """Modified unigram precision times brevity penalty.
-
-    Counts are clipped per token to the reference count, and the brevity
-    penalty is exp(min(0, 1 - |ref| / |cand|)). An empty candidate scores 0.
-    """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand:
-        return 0.0
-    if not ref:
-        return 0.0
-    ref_counts = Counter(ref)
-    clipped = sum(min(n, ref_counts[tok]) for tok, n in Counter(cand).items())
-    precision = clipped / len(cand)
-    bp = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-    return precision * bp
-
-
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_overlap(a: Sequence, b: Sequence) -> int:
+    """Items shared by two bags, each counted at most as often as in either."""
+    return sum((Counter(a) & Counter(b)).values())
 
 
 def _fscore(overlap: int, n_pred: int, n_gold: int) -> float:
@@ -77,6 +43,32 @@ def _fscore(overlap: int, n_pred: int, n_gold: int) -> float:
     precision = overlap / n_pred
     recall = overlap / n_gold
     return 2 * precision * recall / (precision + recall)
+
+
+def token_f1(pred: str, gold: str) -> float:
+    """Harmonic mean of token precision/recall over normalized bags of tokens."""
+    pred_tokens = normalize_answer(pred).split()
+    gold_tokens = normalize_answer(gold).split()
+    return _fscore(_clipped_overlap(pred_tokens, gold_tokens), len(pred_tokens), len(gold_tokens))
+
+
+def bleu1(candidate: str, reference: str) -> float:
+    """Modified unigram precision times brevity penalty.
+
+    Counts are clipped per token to the reference count, and the brevity
+    penalty is exp(min(0, 1 - |ref| / |cand|)). An empty candidate scores 0.
+    """
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    if not cand or not ref:
+        return 0.0
+    precision = _clipped_overlap(cand, ref) / len(cand)
+    bp = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
+    return precision * bp
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
+    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -104,19 +96,15 @@ def rouge(pred: str, gold: str, variant: int | str = 1) -> float:
         raise ValueError(f"unsupported ROUGE variant: {variant!r}")
     pred_grams = _ngrams(pred_tokens, n)
     gold_grams = _ngrams(gold_tokens, n)
-    overlap = sum((pred_grams & gold_grams).values())
-    return _fscore(overlap, sum(pred_grams.values()), sum(gold_grams.values()))
+    return _fscore(_clipped_overlap(pred_grams, gold_grams), len(pred_grams), len(gold_grams))
 
 
 def unigram_recall(pred: str, gold: str) -> float:
     """Fraction of reference unigrams covered by the prediction (clipped counts)."""
-    pred_counts = Counter(tokenize(pred))
-    gold_counts = Counter(tokenize(gold))
-    total = sum(gold_counts.values())
-    if total == 0:
+    gold_tokens = tokenize(gold)
+    if not gold_tokens:
         return 1.0
-    covered = sum(min(n, pred_counts[tok]) for tok, n in gold_counts.items())
-    return covered / total
+    return _clipped_overlap(tokenize(pred), gold_tokens) / len(gold_tokens)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .answers import VoteTable
 from .corpus import Corpus, EpisodeRecord
-from .diversity import CoFailureCounts, FailureMatrix, FailureRule, failure_matrix
+from .diversity import CoFailureCounts, FailureMatrix, failure_matrix
 from .metrics import pearson
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ def mask_members(mask: int, model_ids: Sequence[str]) -> list[str]:
 
 def mask_bitstring(mask: int, n: int) -> str:
     """Bit i of the mask rendered at position i (pool order)."""
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+    return format(mask, f"0{n}b")[::-1]
 
 
 def fitness(
@@ -163,18 +163,18 @@ def build_scorer(
     records: Sequence[EpisodeRecord],
     w1: float = 0.6,
     w2: float = 0.4,
-    rule: FailureRule = FailureRule(),
+    tau: float = 0.5,
 ) -> CandidateScorer:
     """Scorer for the corpus's pool on ``records``, episodes of ``corpus``.
 
     The corpus holds one task kind, as ``task_of`` checks where a corpus
     enters a stage, so its first record's kind is the corpus's. For MCQ and
     OEQ one vote table supplies both the failure rows and the plurality
-    accuracy. GQ failures follow the unigram-recall rule and have no
-    accuracy, so fitness is the diversity alone.
+    accuracy. GQ failures follow the unigram-recall rule (recall below
+    ``tau``) and have no accuracy, so fitness is the diversity alone.
     """
     if corpus.records and corpus.records[0].task.kind == "gq":
-        return CandidateScorer(failure_matrix(records, corpus.model_ids, rule), None, w1, w2)
+        return CandidateScorer(failure_matrix(records, corpus.model_ids, tau), None, w1, w2)
     table = VoteTable(records, corpus.model_ids)
     failures = FailureMatrix(table.failed, [rec.id for rec in records], table.model_ids)
     return CandidateScorer(failures, table.mask_accuracies, w1, w2)

@@ -335,6 +335,7 @@ class TestErrors:
         (["train-weighted", "--learning-rate", "0"], "--learning-rate"),
         (["train-weighted", "--learning-rate", "nan"], "--learning-rate"),
         (["train-weighted", "--learning-rate", "inf"], "--learning-rate"),
+        (["prune", "--random-pick", "-3"], "--random-pick"),
     ])
     def test_numeric_flag_out_of_range_is_named(self, tmp_path, capsys, argv, flag):
         paths = ["--corpus", tmp_path / "c.jsonl"]
@@ -409,6 +410,7 @@ class TestConfigFile:
         ("seed", -1, "must be an integer >= 0, got -1"),
         ("w1", float("nan"), "must be a number in [0, 1], got nan"),
         ("train-frac", 1.5, "must be a number in [0, 1], got 1.5"),
+        ("random-pick", -1, "must be an integer >= 0, got -1"),
     ])
     def test_prune_config_value_goes_through_the_flag_check(self, tmp_path, pool_corpus,
                                                             capsys, key, value, message):

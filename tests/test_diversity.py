@@ -7,7 +7,6 @@ import pytest
 from fusepool.corpus import RawPass
 from fusepool.diversity import (
     FailureMatrix,
-    FailureRule,
     failure_matrix,
     failure_vector,
     focal_diversity,
@@ -72,8 +71,8 @@ class TestFailureVector:
         rec = oeq_record("r0", gold=gold)
         rec.task = type(rec.task)("gq")
         rec.passes = {"m1": [RawPass(raw_text="w0 w1 w2 and padding text")]}
-        assert failure_vector(rec, "m1", FailureRule(tau=0.5)) is True
-        assert failure_vector(rec, "m1", FailureRule(tau=0.25)) is False
+        assert failure_vector(rec, "m1", tau=0.5) is True
+        assert failure_vector(rec, "m1", tau=0.25) is False
 
     def test_missing_prediction_is_failure(self):
         rec = mcq_record("r0")

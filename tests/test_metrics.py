@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusepool.metrics import (
     bleu1,
@@ -123,3 +124,67 @@ def test_token_f1_matches_rouge1_without_articles_or_duplicates():
         a = " ".join(rng.sample(words, k=rng.randint(1, len(words))))
         b = " ".join(rng.sample(words, k=rng.randint(1, len(words))))
         assert token_f1(a, b) == pytest.approx(rouge(a, b, 1))
+
+
+# ---------------------------------------------------------------------------
+# Every clipped-overlap metric against its definition, written as explicit
+# per-token loops. Four words and two articles make repeated tokens, and so
+# clipping, the common case.
+# ---------------------------------------------------------------------------
+
+WORDS = ["cat", "sat", "mat", "on", "the", "a"]
+bags = st.lists(st.sampled_from(WORDS), max_size=9)
+
+
+def matched(pred: list, gold: list) -> int:
+    """Tokens of ``pred`` that can each be paired with a distinct token of ``gold``."""
+    unpaired = list(gold)
+    hits = 0
+    for tok in pred:
+        for j, g in enumerate(unpaired):
+            if g == tok:
+                del unpaired[j]
+                hits += 1
+                break
+    return hits
+
+
+def f_measure(hits: int, n_pred: int, n_gold: int) -> float:
+    if n_pred == 0 and n_gold == 0:
+        return 1.0
+    if hits == 0:
+        return 0.0
+    precision, recall = hits / n_pred, hits / n_gold
+    return 2 * precision * recall / (precision + recall)
+
+
+def grams(tokens: list, n: int) -> list:
+    out = []
+    for i in range(len(tokens) - n + 1):
+        out.append(tuple(tokens[i:i + n]))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pred=bags, gold=bags)
+def test_clipped_metrics_match_their_definitions(pred, gold):
+    a, b = " ".join(pred), " ".join(gold)
+
+    content_pred = [t for t in pred if t not in ("the", "a")]
+    content_gold = [t for t in gold if t not in ("the", "a")]
+    assert token_f1(a, b) == pytest.approx(f_measure(
+        matched(content_pred, content_gold), len(content_pred), len(content_gold)), abs=1e-12)
+
+    expected = 0.0
+    if pred and gold:
+        expected = (matched(pred, gold) / len(pred)
+                    * math.exp(min(0.0, 1.0 - len(gold) / len(pred))))
+    assert bleu1(a, b) == pytest.approx(expected, abs=1e-12)
+
+    for n in (1, 2):
+        pg, gg = grams(pred, n), grams(gold, n)
+        assert rouge(a, b, n) == pytest.approx(
+            f_measure(matched(pg, gg), len(pg), len(gg)), abs=1e-12)
+
+    expected = matched(pred, gold) / len(gold) if gold else 1.0
+    assert unigram_recall(a, b) == pytest.approx(expected, abs=1e-12)

@@ -287,6 +287,10 @@ class TestReports:
 
     def test_mask_bitstring_layout(self):
         assert mask_bitstring(0b0101, 4) == "1010"  # bit i printed at position i
+        for n in range(1, 13):  # every mask against the per-bit definition
+            for mask in range(2**n):
+                assert mask_bitstring(mask, n) == "".join(
+                    "1" if mask >> i & 1 else "0" for i in range(n))
 
     def test_diversity_report_correlation_sign(self):
         pool = correlated_pool(6, 200, seed=5)
