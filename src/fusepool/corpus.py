@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 from array import array
 from collections.abc import Mapping, Sequence
@@ -52,6 +53,18 @@ VECTOR_BLOCK = 1024
 
 class SchemaError(ValueError):
     """A record violates the corpus schema; the message names record and field."""
+
+
+def is_number(x: object) -> bool:
+    """An int or a float; a bool is neither."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_id(rec_id):
+    """The id rule: a record's id is non-empty text. Returns the id."""
+    if not isinstance(rec_id, str) or not rec_id:
+        raise SchemaError("record with missing or non-string id")
+    return rec_id
 
 
 def _vector_fault(probs, m: int) -> str | None:
@@ -203,6 +216,10 @@ class RawPass:
             raise SchemaError(
                 f"record {owner}: passes: parsed answer present but status={self.status!r}"
             )
+        latency = self.latency_s
+        if latency is not None and not (is_number(latency) and 0 <= latency < math.inf):
+            raise SchemaError(f"record {owner}: passes: latency_s {latency!r} is not "
+                              "None or a finite number >= 0")
 
 
 @dataclass
@@ -221,8 +238,7 @@ class EpisodeRecord:
 
     def validate(self) -> None:
         """Every schema check, the provided vectors' entries last."""
-        if not self.id:
-            raise SchemaError("record with empty id")
+        _check_id(self.id)
         if not isinstance(self.prompt, str):
             raise SchemaError(f"record {self.id}: prompt: must be text")
         if self.task.is_mcq:
@@ -354,9 +370,7 @@ def _record_from_json(obj, tasks: dict) -> EpisodeRecord:
     per (kind, choice count) across calls."""
     if not isinstance(obj, dict):
         raise SchemaError("record is not a JSON object")
-    rec_id = obj.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
-        raise SchemaError("record with missing or non-string id")
+    rec_id = _check_id(obj.get("id"))
     kind = obj.get("task")
     if kind not in TASK_KINDS:
         raise SchemaError(f"record {rec_id}: task: unknown kind {kind!r}")

@@ -113,7 +113,6 @@ def train_and_score_split(
     members: list[str],
     k: int,
     config: TrainConfig,
-    hidden: Sequence[int] = (100, 100),
 ) -> tuple[FusionParameters, EvalReport]:
     """Train the combiner on one split and evaluate on its test part.
 
@@ -121,7 +120,7 @@ def train_and_score_split(
     (train-weighted reports on its val part) reuses its table.
     """
     task = task_of(train_corpus.records)
-    dims = fusion_dims(task.kind, len(members), k, m=task.num_choices, hidden=hidden)
+    dims = fusion_dims(task.kind, len(members), k, m=task.num_choices)
     train_table = build_fusion_table(train_corpus.records, members, k)
     val_table = build_fusion_table(val_corpus.records, members, k)
     train_data, _ = build_training_data(*train_table)

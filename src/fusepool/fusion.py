@@ -27,6 +27,7 @@ from .corpus import EpisodeRecord
 log = logging.getLogger(__name__)
 
 PARAMS_FORMAT_VERSION = 1
+HIDDEN = (100, 100)  # the hidden layers' widths
 
 
 @dataclass
@@ -299,17 +300,14 @@ def train(
     return best
 
 
-def fusion_dims(
-    task_kind: str, n_members: int, k: int, m: int | None = None,
-    hidden: Sequence[int] = (100, 100),
-) -> tuple[int, ...]:
-    """Dim chain for an ensemble: input m*N or K*N, output m or K."""
+def fusion_dims(task_kind: str, n_members: int, k: int, m: int | None = None) -> tuple[int, ...]:
+    """Dim chain for an ensemble: input m*N or K*N, ``HIDDEN``, output m or K."""
     if task_kind == "mcq":
         if m is None or m < 2:
             raise ValueError("mcq dims need the choice count")
-        return (m * n_members, *hidden, m)
+        return (m * n_members, *HIDDEN, m)
     if task_kind == "oeq":
-        return (k * n_members, *hidden, k)
+        return (k * n_members, *HIDDEN, k)
     raise ValueError("the weighted combiner applies to mcq and oeq tasks only")
 
 

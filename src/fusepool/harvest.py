@@ -40,21 +40,19 @@ from urllib.parse import urlsplit
 
 from . import __version__
 from .answers import canonical_answer
-from .corpus import Corpus, EpisodeRecord, RawPass, TaskKind
+from .corpus import Corpus, EpisodeRecord, RawPass, TaskKind, is_number
 from .metrics import bleu1
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_IN_FLIGHT = 16
+BACKOFF_BASE_S = 1.0  # wait after a pass's first failed attempt, doubling per retry
+BACKOFF_CAP_S = 30.0  # the longest wait; each is jittered to 50-100 %
 _USER_AGENT = f"fusepool/{__version__}"
 
 
 class AuthError(RuntimeError):
     """The endpoint rejected our credentials; retrying cannot help."""
-
-
-def _is_number(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_int(x: object) -> bool:
@@ -81,7 +79,7 @@ class EndpointConfig:
         if not isinstance(self.api_key_env, str):
             raise ValueError("api_key_env must be text")
         # The socket layer refuses a timeout above threading.TIMEOUT_MAX.
-        if not (_is_number(self.timeout_s) and 0 < self.timeout_s <= threading.TIMEOUT_MAX):
+        if not (is_number(self.timeout_s) and 0 < self.timeout_s <= threading.TIMEOUT_MAX):
             raise ValueError(f"timeout_s must be a finite number > 0 and at most "
                              f"{threading.TIMEOUT_MAX:.0f}, got {self.timeout_s!r}")
         if not (_is_int(self.max_retries) and self.max_retries >= 0):
@@ -89,7 +87,7 @@ class EndpointConfig:
         if not (_is_int(self.max_tokens) and self.max_tokens >= 1):
             raise ValueError(f"max_tokens must be an int >= 1, got {self.max_tokens!r}")
         if self.temperature is not None and not (
-                _is_number(self.temperature) and math.isfinite(self.temperature)
+                is_number(self.temperature) and math.isfinite(self.temperature)
                 and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, "
                              f"got {self.temperature!r}")
@@ -116,6 +114,8 @@ class PromptTemplate:
 
     def render(self, record: EpisodeRecord) -> str:
         if self.task.is_mcq:
+            if len(record.choices) > len(_CHOICE_LETTERS):
+                raise ValueError(f"{len(record.choices)} choices; letters run from A to Z")
             lines = [
                 f"{_CHOICE_LETTERS[i]}. {text}" for i, text in enumerate(record.choices)
             ]
@@ -141,9 +141,9 @@ def default_template(task: TaskKind) -> PromptTemplate:
     return PromptTemplate(task=task, template_text=text)
 
 
-def _backoff_delay(attempt: int, base_s: float, cap_s: float, rng: random.Random) -> float:
+def _backoff_delay(attempt: int, rng: random.Random) -> float:
     """Jittered exponential wait after failed attempt ``attempt`` (0-based)."""
-    delay = min(cap_s, base_s * 2**attempt)
+    delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**attempt)
     return delay * (0.5 + rng.random() / 2)
 
 
@@ -228,15 +228,14 @@ def parse_pass(raw_text: str | None, task: TaskKind, choices: list[str] | None,
 class _Chain:
     """The pass being requested for one (query, model) pair."""
 
-    prompt: str
     rng: random.Random  # backoff jitter, drawn across all of the chain's passes
     attempt: int = 0
     spent_s: float = 0.0  # round-trip time of this pass's attempts so far
 
 
 def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig], k: int,
-                    templates: list[PromptTemplate], max_in_flight: int,
-                    backoff: tuple[float, float], seed: int) -> list[list[list[RawPass]]]:
+                    prompts: list[str], max_in_flight: int,
+                    seed: int) -> list[list[list[RawPass]]]:
     """K passes per (query, model) chain, scheduled by the calling thread alone."""
     # Imported here, like urllib.request, so that the stages that never send skip it.
     from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -274,10 +273,9 @@ def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig
                 chain = chains.get((q, m))
                 if chain is None:
                     rng_key = f"{seed}:{endpoints[m].model_name}:{records[q].id}"
-                    chain = chains[q, m] = _Chain(templates[q].render(records[q]),
-                                                  random.Random(rng_key))
+                    chain = chains[q, m] = _Chain(random.Random(rng_key))
                 in_flight[pool.submit(_request_completion, opener, endpoints[m],
-                                      chain.prompt, temperatures[m], chain.attempt)] = (q, m)
+                                      prompts[q], temperatures[m], chain.attempt)] = (q, m)
                 continue
             if not in_flight:  # every chain left is waiting out a backoff
                 time.sleep(wake - now)
@@ -292,7 +290,7 @@ def _collect_passes(records: list[EpisodeRecord], endpoints: list[EndpointConfig
                 chain = chains[q, m]
                 chain.spent_s += round_trip_s
                 if text is None and retry and chain.attempt < endpoints[m].max_retries:
-                    delay = _backoff_delay(chain.attempt, *backoff, chain.rng)
+                    delay = _backoff_delay(chain.attempt, chain.rng)
                     heapq.heappush(waiting[m], (time.monotonic() + delay, q))
                     chain.attempt += 1
                     continue
@@ -314,14 +312,14 @@ def harvest(
     k: int,
     template: PromptTemplate | None = None,
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    backoff_base_s: float = 1.0,
-    backoff_cap_s: float = 30.0,
     seed: int = 0,
 ) -> Corpus:
     """Collect K passes per model per query; returns a new corpus.
 
-    The input corpus is never mutated; its prompts, choices, and ground
-    truths carry over unchanged. A harvested model's new passes replace its
+    Every prompt is rendered before the first request: a record the template
+    cannot render is a ValueError that names it, and nothing is sent. The
+    input corpus is never mutated; its prompts, choices, and ground truths
+    carry over unchanged. A harvested model's new passes replace its
     old passes and its provided vector, so the passes are what it answers
     with; every other model keeps its passes and its vector.
     """
@@ -335,9 +333,14 @@ def harvest(
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names across endpoints")
     records = queries.records
-    templates = [template or default_template(record.task) for record in records]
-    passes = _collect_passes(records, endpoints, k, templates, max_in_flight,
-                             (backoff_base_s, backoff_cap_s), seed)
+    prompts = []
+    for record in records:
+        try:
+            prompts.append((template or default_template(record.task)).render(record))
+        except (LookupError, AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"record {record.id}: the prompt template does not render: "
+                             f"{type(exc).__name__}: {exc}") from exc
+    passes = _collect_passes(records, endpoints, k, prompts, max_in_flight, seed)
     out_records = []
     for record, harvested_passes in zip(records, passes):
         passes = {**record.passes, **dict(zip(names, harvested_passes))}

@@ -196,26 +196,21 @@ def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandi
 
 # The smallest population ``GaConfig`` accepts, and ``prune --ga-population``.
 GA_MIN_POPULATION = 4
+GA_ELITE_FRAC = 0.2  # share of each generation kept unchanged (at least 2)
+GA_MAX_GENERATIONS = 2000
 
 
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 50
-    mutation_rate: float | None = None  # None: 1 / pool size
-    elite_frac: float = 0.2
     plateau_gens: int = 100
-    max_gens: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population < GA_MIN_POPULATION:
             raise ValueError(f"population must be >= {GA_MIN_POPULATION}")
-        if self.mutation_rate is not None and not 0.0 < self.mutation_rate < 1.0:
-            raise ValueError("mutation_rate must be in (0, 1)")
-        if not 0.0 < self.elite_frac <= 1.0:
-            raise ValueError("elite_frac must be in (0, 1]")
-        if self.plateau_gens < 1 or self.max_gens < 1:
-            raise ValueError("plateau_gens and max_gens must be >= 1")
+        if self.plateau_gens < 1:
+            raise ValueError("plateau_gens must be >= 1")
 
 
 @dataclass
@@ -244,29 +239,29 @@ def _mutate(mask: int, n: int, rate: float, rng: random.Random) -> int:
 def ga_prune(scorer: CandidateScorer, config: GaConfig, k: int = 1) -> GaResult:
     """Genetic search for high-fitness teams.
 
-    Elites survive each generation unchanged; offspring come from uniform
-    crossover between random elites followed by per-bit mutation, with
-    undersized chromosomes repaired. Stops when the best fitness has not
-    improved for ``plateau_gens`` generations or at ``max_gens``. Returns the
-    k best candidates in the scorer's memo: this run's, for a fresh scorer.
+    The best ``GA_ELITE_FRAC`` of each generation survive unchanged;
+    offspring come from uniform crossover between random elites followed by
+    per-bit mutation at rate 1 / pool size, with undersized chromosomes
+    repaired. Stops when the best fitness has not improved for
+    ``plateau_gens`` generations or at ``GA_MAX_GENERATIONS``. Returns the k
+    best candidates in the scorer's memo: this run's, for a fresh scorer.
     """
     if config.population < k:
         raise ValueError("population must be >= k")
     n = scorer.n_models
     rng = random.Random(config.seed)
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
+    rate = 1.0 / n
 
     population = [
         _repair(rng.getrandbits(n), n, rng) for _ in range(config.population)
     ]
-    n_elite = max(2, round(config.population * config.elite_frac))
+    n_elite = max(2, round(config.population * GA_ELITE_FRAC))
     scored_before = scorer.evaluations
     best: EnsembleCandidate | None = None
     stagnant = 0
-    generations = 0
     plateau_terminated = False
 
-    for generations in range(1, config.max_gens + 1):
+    for generations in range(1, GA_MAX_GENERATIONS + 1):
         ranked = sorted(scorer.score_masks(population), key=_rank_key)
         gen_best = ranked[0]
         if best is None or gen_best.fitness > best.fitness:

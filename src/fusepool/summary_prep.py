@@ -183,17 +183,6 @@ class AttentionMask:
             total += (hi - lo + 1) + (n_global - in_band)
         return total
 
-    def neighbours(self, i: int):
-        """All j with allowed(i, j); supports graph traversal."""
-        if i in self.spec.global_tokens:
-            yield from range(self.length)
-            return
-        lo, hi = self.band_range(i)
-        yield from range(lo, hi + 1)
-        for g in self.global_sorted:
-            if g < lo or g > hi:
-                yield g
-
 
 def build_attention_mask(spec: AttentionMaskSpec) -> AttentionMask:
     return AttentionMask(spec)

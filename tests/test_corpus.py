@@ -191,6 +191,41 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="line 1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("bad_id", [5, "", None, True, ["r0"]])
+    def test_validate_and_load_share_the_id_rule(self, tmp_path, bad_id):
+        rec = mcq_record("r0")
+        corpus = Corpus(records=[rec], model_ids=[])
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+        rec.id = bad_id
+        with pytest.raises(SchemaError, match="^record with missing or non-string id$"):
+            corpus.validate()
+        save_corpus(corpus, path)
+        with pytest.raises(SchemaError, match="^line 1: record with missing or non-string id$"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("latency", [None, 0, 0.0, 2.5, 7, 10**20])
+    def test_latency_round_trips(self, tmp_path, latency):
+        rec = mcq_record("r0", passes={"m1": [RawPass("B", parsed=1, latency_s=latency)]})
+        corpus = Corpus(records=[rec], model_ids=["m1"])
+        corpus.validate()
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("latency", ["fast", [1, 2], {}, -5, -0.5, True, False,
+                                         float("nan"), float("inf")])
+    def test_latency_is_none_or_a_finite_number_at_least_0(self, tmp_path, latency):
+        rec = mcq_record("slow", passes={"m1": [RawPass("B", parsed=1, latency_s=latency)]})
+        corpus = Corpus(records=[rec], model_ids=["m1"])
+        with pytest.raises(SchemaError, match="^record slow: passes: latency_s "):
+            corpus.validate()
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        with pytest.raises(SchemaError, match="^line 1: record slow: passes: latency_s "):
+            load_corpus(path)
+
     def test_missing_pass_status_preserved(self, tmp_path):
         rec = mcq_record("r0", passes={"m1": [RawPass(raw_text="", parsed=None, status="missing")]})
         corpus = Corpus(records=[rec], model_ids=["m1"])

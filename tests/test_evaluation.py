@@ -1,5 +1,6 @@
 import pytest
 
+from fusepool import fusion
 from fusepool.answers import VoteTable
 from fusepool.corpus import SplitSpec, split
 from fusepool.evaluation import (
@@ -72,12 +73,12 @@ class TestEvaluateRecords:
         assert rows["r1"]["predicted"] is None and rows["r1"]["correct"] is False
         assert set(rows["r0"]) == {"id", "predicted", "gold", "correct"}
 
-    def test_trained_on_experts_beats_baselines(self):
+    def test_trained_on_experts_beats_baselines(self, monkeypatch):
+        monkeypatch.setattr(fusion, "HIDDEN", (32, 32))
         corpus = complementary_experts(1200, seed=3)
         tr, va, te = split(corpus, SplitSpec(0.7, 0.15, 0.15, seed=0))
         _, report = train_and_score_split(
-            tr, va, te, corpus.model_ids, k=1,
-            config=TrainConfig(epochs=60, seed=0), hidden=(32, 32),
+            tr, va, te, corpus.model_ids, k=1, config=TrainConfig(epochs=60, seed=0),
         )
         best_single = max(report.single_accuracies.values())
         assert report.accuracy >= best_single + 0.05

@@ -295,7 +295,7 @@ class TestTrain:
         corpus = separable_confidences(400, seed=0)
         members = corpus.model_ids
         data = self.make_data(corpus, members)
-        dims = fusion_dims("mcq", 3, 1, m=4, hidden=(16,))
+        dims = (12, 16, 4)  # 3 members x 4 choices in, one hidden layer of 16
         params = train(data, None, dims, TrainConfig(epochs=200, seed=0))
         probs = forward(params, data.features)
         acc = float(np.mean(np.argmax(probs, axis=1) == data.targets))
@@ -307,7 +307,7 @@ class TestTrain:
         members = corpus.model_ids
         train_data = self.make_data(tr, members)
         val_data = self.make_data(va, members)
-        dims = fusion_dims("mcq", 3, 1, m=4, hidden=(16,))
+        dims = (12, 16, 4)
         epoch0 = init_params(dims, seed=4)
         loss0, _ = loss_and_grad(epoch0, val_data.features, val_data.targets, val_data.active)
         params = train(train_data, val_data, dims, TrainConfig(epochs=30, seed=4))
@@ -317,7 +317,7 @@ class TestTrain:
     def test_deterministic(self):
         corpus = separable_confidences(120, seed=2)
         data = self.make_data(corpus, corpus.model_ids)
-        dims = fusion_dims("mcq", 3, 1, m=4, hidden=(8,))
+        dims = (12, 8, 4)
         a = train(data, None, dims, TrainConfig(epochs=5, seed=11))
         b = train(data, None, dims, TrainConfig(epochs=5, seed=11))
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
@@ -327,7 +327,7 @@ class TestTrain:
     def test_sgd_option(self):
         corpus = separable_confidences(120, seed=3)
         data = self.make_data(corpus, corpus.model_ids)
-        dims = fusion_dims("mcq", 3, 1, m=4, hidden=(8,))
+        dims = (12, 8, 4)
         params = train(data, None, dims,
                        TrainConfig(epochs=5, seed=0, optimizer="sgd", learning_rate=0.5))
         assert all(np.isfinite(w).all() for w, _ in params.layers)

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 import fusepool
 from fusepool.cli import main
-from fusepool.corpus import Corpus, load_corpus, save_corpus
+from fusepool.corpus import Corpus, EpisodeRecord, TaskKind, load_corpus, save_corpus
 from fusepool.harvest import (
     AuthError,
     EndpointConfig,
@@ -161,6 +162,21 @@ def stub():
     s.close()
 
 
+harvest_module = importlib.import_module("fusepool.harvest")
+
+
+@pytest.fixture
+def backoff(monkeypatch):
+    """Shortens harvest's retry waits to a 0.01 s base and a 0.02 s cap for
+    one test; ``backoff(base_s, cap_s)`` sets others."""
+    def set_backoff(base_s, cap_s):
+        monkeypatch.setattr(harvest_module, "BACKOFF_BASE_S", base_s)
+        monkeypatch.setattr(harvest_module, "BACKOFF_CAP_S", cap_s)
+
+    set_backoff(0.01, 0.02)
+    return set_backoff
+
+
 def endpoint(stub, name, **kw):
     kw.setdefault("max_retries", 2)
     kw.setdefault("timeout_s", 5.0)
@@ -189,17 +205,16 @@ class TestHarvest:
         out = harvest(queries(1), [endpoint(stub, "m")], k=10)
         assert len(out.records[0].passes["m"]) == 10
 
-    def test_retry_budget_exact(self, stub):
+    def test_retry_budget_exact(self, stub, backoff):
         stub.set("flaky", ("fail", "The answer is (A)."), failures=2)
-        out = harvest(queries(1), [endpoint(stub, "flaky", max_retries=2)],
-                      k=1, backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), [endpoint(stub, "flaky", max_retries=2)], k=1)
         assert out.records[0].passes["flaky"][0].status == "ok"
 
-    def test_exhausted_retries_mark_missing_others_unaffected(self, stub):
+    def test_exhausted_retries_mark_missing_others_unaffected(self, stub, backoff):
         stub.set("dead", ("fail", "never"), failures=99)
         stub.set("alive", ("ok", "The answer is (D)."))
         eps = [endpoint(stub, "dead", max_retries=1), endpoint(stub, "alive")]
-        out = harvest(queries(1), eps, k=1, backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), eps, k=1)
         rec = out.records[0]
         assert rec.passes["dead"][0].status == "missing"
         assert rec.passes["dead"][0].parsed is None
@@ -287,6 +302,30 @@ class TestHarvest:
                 assert line_out == line_in
         assert harvested == 4
 
+    @pytest.mark.parametrize("case", ["template slot", "27 choices"])
+    def test_a_prompt_that_cannot_render_exits_2_before_any_request(
+            self, stub, tmp_path, capsys, case):
+        if case == "template slot":
+            corpus = queries(2)
+            template = tmp_path / "template.txt"
+            template.write_text("{question}\n{choices}\n{foo}")
+            argv = ["--template-file", str(template)]
+            named = "record q0: .*KeyError: 'foo'"
+        else:  # schema-valid, but the letters A to Z label 26 choices
+            wide = EpisodeRecord(id="wide", task=TaskKind.mcq(27), prompt="question wide",
+                                 ground_truth=1, choices=[f"c{i}" for i in range(27)])
+            corpus, argv = Corpus(records=[wide], model_ids=[]), []
+            named = "record wide: .*27 choices"
+        corpus_path = tmp_path / "q.jsonl"
+        save_corpus(corpus, corpus_path)
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps([{"base_url": stub.base_url, "model_name": "m"}]))
+        out_path = tmp_path / "h.jsonl"
+        assert main(["harvest", "--corpus", str(corpus_path), "--endpoints", str(endpoints),
+                     "--out-corpus", str(out_path), *argv]) == 2
+        assert re.search(named, capsys.readouterr().err)
+        assert stub.requests == [] and not out_path.exists()
+
     def test_validation(self, stub):
         with pytest.raises(ValueError):
             harvest(queries(1), [], k=1)
@@ -312,38 +351,35 @@ class TestHarvest:
 
     @pytest.mark.parametrize("body", [
         "[]", '{"choices": [{"message": {"content": 5}}]}', '{"choices": []}', "not json"])
-    def test_a_malformed_reply_is_a_failed_attempt(self, stub, body):
+    def test_a_malformed_reply_is_a_failed_attempt(self, stub, backoff, body):
         stub.set("odd", ("raw", body))
         stub.set("alive", ("ok", "The answer is (D)."))
         eps = [endpoint(stub, "odd", max_retries=1), endpoint(stub, "alive")]
-        out = harvest(queries(1), eps, k=2, backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), eps, k=2)
         rec = out.records[0]
         assert [p.status for p in rec.passes["odd"]] == ["missing", "missing"]
         assert len(stub.calls("odd")) == 4  # each pass: one attempt and one retry
         assert [p.status for p in rec.passes["alive"]] == ["ok", "ok"]
 
     @pytest.mark.parametrize("status", [400, 404, 422])
-    def test_a_client_error_fails_the_pass_at_once(self, stub, caplog, status):
+    def test_a_client_error_fails_the_pass_at_once(self, stub, backoff, caplog, status):
         stub.set("gone", ("fail", "never"), failures=99, status=status)
-        out = harvest(queries(1), [endpoint(stub, "gone", max_retries=2)], k=2,
-                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), [endpoint(stub, "gone", max_retries=2)], k=2)
         assert len(stub.calls("gone")) == 2  # one request per pass
         assert [p.status for p in out.records[0].passes["gone"]] == ["missing", "missing"]
         assert f"HTTP Error {status}" in caplog.text
 
     @pytest.mark.parametrize("status", [408, 429])
-    def test_a_timeout_or_rate_limit_status_is_retried(self, stub, status):
+    def test_a_timeout_or_rate_limit_status_is_retried(self, stub, backoff, status):
         stub.set("busy", ("fail", "The answer is (A)."), failures=2, status=status)
-        out = harvest(queries(1), [endpoint(stub, "busy", max_retries=2)], k=1,
-                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), [endpoint(stub, "busy", max_retries=2)], k=1)
         assert len(stub.calls("busy")) == 3
         assert out.records[0].passes["busy"][0].status == "ok"
 
     @pytest.mark.parametrize("status", [302, 307, 308])
-    def test_a_redirect_is_a_failed_attempt_never_followed(self, stub, status):
+    def test_a_redirect_is_a_failed_attempt_never_followed(self, stub, backoff, status):
         stub.set("moved", ("fail", "never"), failures=99, status=status)
-        out = harvest(queries(1), [endpoint(stub, "moved", max_retries=1)], k=1,
-                      backoff_base_s=0.01, backoff_cap_s=0.02)
+        out = harvest(queries(1), [endpoint(stub, "moved", max_retries=1)], k=1)
         assert len(stub.calls("moved")) == 2 and stub.followed == []
         assert out.records[0].passes["moved"][0].status == "missing"
 
@@ -397,11 +433,12 @@ def most_at_once(calls):
 
 
 class TestQueue:
-    def test_a_pending_retry_holds_no_slot(self, stub):
+    def test_a_pending_retry_holds_no_slot(self, stub, backoff):
+        backoff(0.6, 0.6)
         stub.set("a", ("fail", "The answer is (A)."), failures=1)
         stub.set("b", ("ok", "The answer is (B)."))
         harvest(queries(1), [endpoint(stub, "a"), endpoint(stub, "b")], k=1,
-                max_in_flight=1, backoff_base_s=0.6, backoff_cap_s=0.6)
+                max_in_flight=1)
         a_failed, a_ok = stub.calls("a")
         (b,) = stub.calls("b")
         assert a_ok.arrived - a_failed.replied >= 0.3  # the backoff was waited out
@@ -416,13 +453,13 @@ class TestQueue:
         (fast_q1,) = stub.calls("fast", "q1")
         assert fast_q1.arrived < slow_q0.replied
 
-    def test_both_bounds_hold(self, stub):
+    def test_both_bounds_hold(self, stub, backoff):
+        backoff(0.02, 0.04)
         names = ["a", "b", "c"]
         for name in names:
             stub.set(name, ("fail", "The answer is (C)."), failures=2 * (name == "b"), delay=0.02)
         eps = [endpoint(stub, name) for name in names]
-        out = harvest(queries(4), eps, k=2, max_in_flight=2,
-                      backoff_base_s=0.02, backoff_cap_s=0.04)
+        out = harvest(queries(4), eps, k=2, max_in_flight=2)
         assert len(stub.log) == 4 * 3 * 2 + 2
         assert most_at_once(stub.log) == 2
         assert all(most_at_once(stub.calls(name)) == 1 for name in names)
@@ -439,7 +476,7 @@ class TestQueue:
         assert len(stub.calls("open")) <= 1  # only a request already sent may finish
         assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
 
-    def test_each_chain_stores_its_passes_in_request_order(self, stub):
+    def test_each_chain_stores_its_passes_in_request_order(self, stub, backoff):
         # More pool threads than cores and a tiny switch interval, so that a
         # reply stored for the wrong chain or out of turn would drop, repeat or
         # reorder a pass.
@@ -450,7 +487,7 @@ class TestQueue:
 
         def run():
             out["corpus"] = harvest(queries(4), [endpoint(stub, name) for name in names], k=3,
-                                    max_in_flight=6, backoff_base_s=0.01, backoff_cap_s=0.02)
+                                    max_in_flight=6)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -471,15 +508,15 @@ class TestQueue:
     def test_a_template_that_fails_to_render_stops_the_run(self, stub):
         template = PromptTemplate(task=mcq_record("q").task,
                                   template_text="{question} {choices} {oops}")
-        with pytest.raises(KeyError, match="oops"):
+        with pytest.raises(ValueError, match="record q0: .*KeyError: 'oops'"):
             harvest(queries(2), [endpoint(stub, "a"), endpoint(stub, "b")], k=1,
                     template=template)
         assert stub.log == []
 
-    def test_latency_leaves_out_the_backoff(self, stub):
+    def test_latency_leaves_out_the_backoff(self, stub, backoff):
+        backoff(0.6, 0.6)
         stub.set("a", ("fail", "The answer is (A)."), failures=1, delay=0.05)
-        out = harvest(queries(1), [endpoint(stub, "a")], k=1,
-                      backoff_base_s=0.6, backoff_cap_s=0.6)
+        out = harvest(queries(1), [endpoint(stub, "a")], k=1)
         failed, ok = stub.calls("a")
         assert ok.arrived - failed.replied >= 0.3  # the backoff was waited out
         (only,) = out.records[0].passes["a"]
@@ -487,28 +524,29 @@ class TestQueue:
         assert 0.1 <= only.latency_s < 0.3  # two round trips of 0.05 s, no backoff
 
     def test_no_pool_thread_outlives_the_run(self, stub, monkeypatch):
-        module = importlib.import_module("fusepool.harvest")
-        send = module._request_completion
+        send = harvest_module._request_completion
         senders = set()
 
         def recording_send(*args):
             senders.add(threading.current_thread().name)
             return send(*args)
 
-        monkeypatch.setattr(module, "_request_completion", recording_send)
+        monkeypatch.setattr(harvest_module, "_request_completion", recording_send)
         stub.set("a", ("ok", "The answer is (A)."))
         stub.set("b", ("ok", "The answer is (B)."))
         harvest(queries(3), [endpoint(stub, "a"), endpoint(stub, "b")], k=2)
         assert senders and all(name.startswith("harvest-") for name in senders)
         assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
-        # q10 renders, q1 has no character 11: the run stops after q10's request.
+        # q10 renders, q1 has no character 11: every prompt renders before the
+        # first request, so the run stops before it sends any.
         template = PromptTemplate(task=mcq_record("q").task,
                                   template_text="{question}\n{choices} {question[11]}")
         corpus = Corpus(records=[mcq_record("q10"), mcq_record("q1")], model_ids=[])
         senders.clear()
-        with pytest.raises(IndexError):
+        sent = len(stub.log)
+        with pytest.raises(ValueError, match="record q1: .*IndexError"):
             harvest(corpus, [endpoint(stub, "a")], k=1, template=template)
-        assert len(senders) == 1 and len(stub.calls("a", "q10")) == 1
+        assert not senders and len(stub.log) == sent
         assert not [t for t in threading.enumerate() if t.name.startswith("harvest-")]
 
     def test_max_in_flight_must_be_positive(self, stub):
