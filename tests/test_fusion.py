@@ -21,7 +21,7 @@ from fusepool.fusion import (
     save_params,
     train,
 )
-from fusepool.synthetic import separable_confidences
+from fusepool.synthetic import correlated_pool, separable_confidences
 
 from test_corpus import mcq_record, oeq_record
 from test_answers import ok_pass
@@ -174,11 +174,11 @@ class TestFlatLayout:
 
 
 def reference_adam_steps(layers, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam with one moment pair per parameter array, updated array by array."""
+    """Adam with one moment pair per parameter array, updated array by array;
+    yields the layers after each step, drawing the next gradients only then."""
     layers = [(w.copy(), b.copy()) for w, b in layers]
     m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-    trajectory = []
     for t, grads in enumerate(grad_seq, start=1):
         c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
         for l, pair in enumerate(grads):
@@ -189,19 +189,16 @@ def reference_adam_steps(layers, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8)
                 vv *= beta2
                 vv += (1 - beta2) * g * g
                 layers[l][slot][...] -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
-        trajectory.append([(w.copy(), b.copy()) for w, b in layers])
-    return trajectory
+        yield [(w.copy(), b.copy()) for w, b in layers]
 
 
 def reference_sgd_steps(layers, grad_seq, lr):
     layers = [(w.copy(), b.copy()) for w, b in layers]
-    trajectory = []
     for grads in grad_seq:
         for (w, b), (gw, gb) in zip(layers, grads):
             w -= lr * gw
             b -= lr * gb
-        trajectory.append([(w.copy(), b.copy()) for w, b in layers])
-    return trajectory
+        yield [(w.copy(), b.copy()) for w, b in layers]
 
 
 class TestOptimizers:
@@ -286,10 +283,74 @@ class TestLossAndGrad:
             assert max_rel_err(grads, numeric) < 1e-4
 
 
+def reference_train(train_data, val_data, dims, config):
+    """``train`` rebuilt from public pieces: ``init_params``, the seeded
+    permutation batches, ``loss_and_grad`` per batch, the per-array reference
+    steps, the best held-out snapshot and the patience stop."""
+    current = init_params(dims, seed=config.seed)
+    held_out = val_data if val_data is not None and len(val_data) else train_data
+
+    def held_out_loss(params):
+        return loss_and_grad(params, held_out.features, held_out.targets, held_out.active)[0]
+
+    best, best_loss = current, held_out_loss(current)
+
+    def batch_grads():
+        nonlocal best, best_loss
+        rng = np.random.default_rng(config.seed)
+        since_best = 0
+        for _ in range(config.epochs):
+            order = rng.permutation(len(train_data))
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                yield loss_and_grad(current, train_data.features[idx],
+                                    train_data.targets[idx], train_data.active[idx])[1]
+            loss = held_out_loss(current)
+            if loss < best_loss:
+                best, best_loss, since_best = current, loss, 0
+            else:
+                since_best += 1
+                if since_best >= config.early_stop_patience:
+                    return
+
+    steps = reference_adam_steps if config.optimizer == "adam" else reference_sgd_steps
+    for layers in steps(current.layers, batch_grads(), config.learning_rate):
+        current = FusionParameters(layers=layers, dims=dims)
+    return best
+
+
 class TestTrain:
     def make_data(self, corpus_part, members):
         data, _ = build_training_data(*build_fusion_table(corpus_part.records, members, k=1))
         return data
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    @pytest.mark.parametrize("config, stops", [
+        (TrainConfig(epochs=6, seed=2), False),
+        (TrainConfig(epochs=6, seed=2, optimizer="sgd", learning_rate=0.5), False),
+        (TrainConfig(epochs=40, seed=1, learning_rate=0.05, early_stop_patience=2), True),
+        (TrainConfig(epochs=40, seed=1, optimizer="sgd", learning_rate=2.0,
+                     early_stop_patience=2), True),
+    ], ids=["adam", "sgd", "adam-stops", "sgd-stops"])
+    def test_matches_a_loop_of_public_pieces_bit_for_bit(self, caplog, with_val, config, stops):
+        corpus = correlated_pool(4, 150, seed=0)  # 4 members x 4 choices
+        tr, va, _ = split(corpus, SplitSpec(0.6, 0.4, 0.0, seed=0))
+        train_data = self.make_data(tr, corpus.model_ids)
+        val_data = self.make_data(va, corpus.model_ids) if with_val else None
+        dims = (16, 8, 4)
+        with caplog.at_level("INFO", logger="fusepool.fusion"):
+            got = train(train_data, val_data, dims, config)
+        assert ("early stop" in caplog.text) == stops
+        want = reference_train(train_data, val_data, dims, config)
+        assert got.dims == want.dims
+        assert got.flat.tobytes() == want.flat.tobytes()
+
+    def test_a_target_outside_the_active_slots_is_refused(self):
+        corpus = separable_confidences(40, seed=0)
+        data = self.make_data(corpus, corpus.model_ids)
+        data.targets[5] = -1
+        with pytest.raises(ValueError, match="target index outside the active slots"):
+            train(data, None, (12, 8, 4), TrainConfig(epochs=2))
 
     def test_separable_task_trains_to_high_accuracy(self):
         corpus = separable_confidences(400, seed=0)
