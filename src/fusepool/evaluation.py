@@ -14,7 +14,6 @@ from .fusion import (
     build_fusion_table,
     build_training_data,
     decode,
-    fusion_dims,
     train,
 )
 from .pruning import GaConfig, build_scorer, search
@@ -120,12 +119,11 @@ def train_and_score_split(
     (train-weighted reports on its val part) reuses its table.
     """
     task = task_of(train_corpus.records)
-    dims = fusion_dims(task.kind, len(members), k, m=task.num_choices)
     train_table = build_fusion_table(train_corpus.records, members, k)
     val_table = build_fusion_table(val_corpus.records, members, k)
     train_data, _ = build_training_data(*train_table)
     val_data, _ = build_training_data(*val_table)
-    params = train(train_data, val_data, dims, config)
+    params = train(train_data, val_data, config)
     test_table = val_table if test_corpus is val_corpus else None
     return params, evaluate_records(test_corpus.records, members, params, k, task.kind,
                                     table=test_table)

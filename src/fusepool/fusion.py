@@ -53,10 +53,6 @@ class FusionParameters:
         parts = np.split(self.flat, np.cumsum(sizes)[:-1])
         self.layers = [(w.reshape(b.size, -1), b) for w, b in zip(parts[::2], parts[1::2])]
 
-    def copy(self) -> "FusionParameters":
-        """An independent copy: construction packs the layers into a new ``flat``."""
-        return FusionParameters(layers=self.layers, dims=self.dims)
-
 
 def _flatten(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """One float64 vector of W_1, b_1, W_2, ...: the ``flat`` layout."""
@@ -154,10 +150,9 @@ def forward(params: FusionParameters, features, active=None) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def loss_and_grad(
-    params: FusionParameters, features, targets, active=None
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean cross-entropy over the batch and its gradient for every parameter."""
+def _checked_rows(params: FusionParameters, features, targets, active) -> tuple[np.ndarray, ...]:
+    """The (features, targets, active) arrays ``_loss_and_grad`` takes
+    unchecked: one batch size, each target an active slot."""
     x, _ = _as_batch(features)
     y = np.atleast_1d(np.asarray(targets, dtype=np.intp))
     if x.shape[0] != y.shape[0]:
@@ -165,6 +160,17 @@ def loss_and_grad(
     act = _active_array(active, x.shape[0], params.dims[-1])
     if np.any(y < 0) or np.any(y >= act):
         raise ValueError("target index outside the active slots")
+    return x, y, act
+
+
+def loss_and_grad(
+    params: FusionParameters, features, targets, active=None
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Mean cross-entropy over the batch and its gradient for every parameter."""
+    return _loss_and_grad(params, *_checked_rows(params, features, targets, active))
+
+
+def _loss_and_grad(params: FusionParameters, x, y, act) -> tuple[float, list]:
     probs, activations = _forward_pass(params, x, act)
     batch = x.shape[0]
     loss = _cross_entropy(probs, y)
@@ -215,17 +221,19 @@ class _Sgd:
 class FusionData:
     """One split's fusion rows: one per usable episode, in record order.
 
-    A row stacks the members' probability vectors in member order, zero-padded
-    to the net's slot count; ``active`` is its live slot count, ``targets``
-    the gold answer's slot (-1 when the gold fell outside the shared solution
-    set) and ``slot_answers`` the answers its slots stand for: the choice
-    indices for MCQ, the solution set for OEQ.
+    A row stacks the members' probability vectors in member order, each
+    zero-padded to ``slots`` (m for MCQ, K for OEQ, the net's output width);
+    ``active`` is its live slot count, ``targets`` the gold answer's slot (-1
+    when the gold fell outside the shared solution set) and ``slot_answers``
+    the answers its slots stand for: the choice indices for MCQ, the solution
+    set for OEQ.
     """
 
     features: np.ndarray
     targets: np.ndarray
     active: np.ndarray
     episode_ids: list[str]
+    slots: int
     slot_answers: list[Sequence] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -237,6 +245,7 @@ class FusionData:
             targets=self.targets[idx],
             active=self.active[idx],
             episode_ids=[self.episode_ids[i] for i in idx],
+            slots=self.slots,
             slot_answers=[self.slot_answers[i] for i in idx],
         )
 
@@ -249,24 +258,24 @@ def _mean_loss(params: FusionParameters, data: FusionData) -> float:
 # that into an error, so numpy need not warn first. Set once per call, not per step.
 @np.errstate(all="ignore")
 def train(
-    train_data: FusionData,
-    val_data: FusionData | None,
-    dims: Sequence[int],
-    config: TrainConfig = TrainConfig(),
+    train_data: FusionData, val_data: FusionData | None, config: TrainConfig = TrainConfig()
 ) -> FusionParameters:
-    """Minibatch training; returns the parameters with the best validation loss.
+    """Minibatch training of a (row width, ``HIDDEN``, ``slots``) net; returns
+    the parameters with the best validation loss.
 
     With no validation examples the training loss is tracked instead. A
     held-out loss that is not finite means training diverged, and raises.
     """
     if len(train_data) == 0:
         raise ValueError("training set is empty")
-    params = init_params(dims, seed=config.seed)
+    params = init_params((train_data.features.shape[1], *HIDDEN, train_data.slots),
+                         seed=config.seed)
     opt = _Adam(params, config.learning_rate) if config.optimizer == "adam" else _Sgd(
         params, config.learning_rate
     )
+    rows = _checked_rows(params, train_data.features, train_data.targets, train_data.active)
     held_out = val_data if val_data is not None and len(val_data) > 0 else train_data
-    best = params.copy()
+    best = params.flat.copy()
     best_loss = _mean_loss(params, held_out)
     since_best = 0
     rng = np.random.default_rng(config.seed)
@@ -275,12 +284,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grads = loss_and_grad(
-                params,
-                train_data.features[idx],
-                train_data.targets[idx],
-                train_data.active[idx],
-            )
+            _, grads = _loss_and_grad(params, *(a[idx] for a in rows))
             opt.step(params, _flatten(grads))
         val_loss = _mean_loss(params, held_out)
         if not np.isfinite(val_loss):
@@ -290,25 +294,15 @@ def train(
             )
         if val_loss < best_loss:
             best_loss = val_loss
-            best = params.copy()
+            best = params.flat.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.early_stop_patience:
                 log.info("early stop at epoch %d (best held-out loss %.6f)", epoch + 1, best_loss)
                 break
-    return best
-
-
-def fusion_dims(task_kind: str, n_members: int, k: int, m: int | None = None) -> tuple[int, ...]:
-    """Dim chain for an ensemble: input m*N or K*N, ``HIDDEN``, output m or K."""
-    if task_kind == "mcq":
-        if m is None or m < 2:
-            raise ValueError("mcq dims need the choice count")
-        return (m * n_members, *HIDDEN, m)
-    if task_kind == "oeq":
-        return (k * n_members, *HIDDEN, k)
-    raise ValueError("the weighted combiner applies to mcq and oeq tasks only")
+    params.flat[:] = best
+    return params
 
 
 def build_fusion_table(
@@ -325,6 +319,7 @@ def build_fusion_table(
     than K is an error: its frequencies over K would sum past 1.
     """
     rows, targets, active, ids, slot_answers, unusable = [], [], [], [], [], []
+    slots = 0  # no records, no slots
     for rec in records:
         for m in members:
             n_passes = len(rec.passes.get(m, ()))
@@ -334,8 +329,10 @@ def build_fusion_table(
         if rec.task.is_mcq:
             dists = assemble_mcq_distributions(rec, members, k)
             blocks = None if dists is None else [d.probs for d in dists]
-            target, answers = rec.ground_truth, range(rec.task.num_choices)
+            slots = rec.task.num_choices
+            target, answers = rec.ground_truth, range(slots)
         elif rec.task.kind == "oeq":
+            slots = k
             per_model = {m: parsed_answers(rec, m) for m in members}
             final = build_final_solution_set(per_model, k)
             pad = [0.0] * (k - len(final))
@@ -353,12 +350,12 @@ def build_fusion_table(
         active.append(len(answers))
         ids.append(rec.id)
         slot_answers.append(answers)
-    dim = rows[0].shape[0] if rows else 0
     table = FusionData(
-        features=np.array(rows, dtype=np.float64).reshape(len(rows), dim),
+        features=np.array(rows, dtype=np.float64).reshape(len(rows), len(members) * slots),
         targets=np.array(targets, dtype=np.intp),
         active=np.array(active, dtype=np.intp),
         episode_ids=ids,
+        slots=slots,
         slot_answers=slot_answers,
     )
     return table, unusable

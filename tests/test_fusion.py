@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fusepool import fusion
 from fusepool.corpus import SplitSpec, split
 from fusepool.fusion import (
     FusionParameters,
@@ -13,7 +14,6 @@ from fusepool.fusion import (
     build_fusion_table,
     build_training_data,
     forward,
-    fusion_dims,
     init_params,
     load_params,
     loss_and_grad,
@@ -159,18 +159,6 @@ class TestFlatLayout:
         params = FusionParameters(layers=[(w, b)], dims=(3, 2))
         w[0, 0] = 5.0
         assert params.layers[0][0][0, 0] == 1.0
-
-    def test_copy_is_independent(self):
-        params = init_params((6, 5, 4), seed=1)
-        clone = params.copy()
-        assert np.array_equal(clone.flat, params.flat)
-        assert not np.shares_memory(clone.flat, params.flat)
-        assert all(np.shares_memory(w, clone.flat) for w, _ in clone.layers)
-        before = params.flat.copy()
-        clone.flat += 1.0
-        assert np.array_equal(params.flat, before)
-        params.layers[1][1][:] = 3.0
-        assert np.array_equal(clone.flat, before + 1.0)
 
 
 def reference_adam_steps(layers, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -332,14 +320,16 @@ class TestTrain:
         (TrainConfig(epochs=40, seed=1, optimizer="sgd", learning_rate=2.0,
                      early_stop_patience=2), True),
     ], ids=["adam", "sgd", "adam-stops", "sgd-stops"])
-    def test_matches_a_loop_of_public_pieces_bit_for_bit(self, caplog, with_val, config, stops):
+    def test_matches_a_loop_of_public_pieces_bit_for_bit(self, monkeypatch, caplog, with_val,
+                                                         config, stops):
+        monkeypatch.setattr(fusion, "HIDDEN", (8,))
         corpus = correlated_pool(4, 150, seed=0)  # 4 members x 4 choices
         tr, va, _ = split(corpus, SplitSpec(0.6, 0.4, 0.0, seed=0))
         train_data = self.make_data(tr, corpus.model_ids)
         val_data = self.make_data(va, corpus.model_ids) if with_val else None
         dims = (16, 8, 4)
         with caplog.at_level("INFO", logger="fusepool.fusion"):
-            got = train(train_data, val_data, dims, config)
+            got = train(train_data, val_data, config)
         assert ("early stop" in caplog.text) == stops
         want = reference_train(train_data, val_data, dims, config)
         assert got.dims == want.dims
@@ -350,19 +340,21 @@ class TestTrain:
         data = self.make_data(corpus, corpus.model_ids)
         data.targets[5] = -1
         with pytest.raises(ValueError, match="target index outside the active slots"):
-            train(data, None, (12, 8, 4), TrainConfig(epochs=2))
+            train(data, None, TrainConfig(epochs=2))
 
-    def test_separable_task_trains_to_high_accuracy(self):
+    def test_separable_task_trains_to_high_accuracy(self, monkeypatch):
+        monkeypatch.setattr(fusion, "HIDDEN", (16,))
         corpus = separable_confidences(400, seed=0)
         members = corpus.model_ids
         data = self.make_data(corpus, members)
-        dims = (12, 16, 4)  # 3 members x 4 choices in, one hidden layer of 16
-        params = train(data, None, dims, TrainConfig(epochs=200, seed=0))
+        params = train(data, None, TrainConfig(epochs=200, seed=0))
+        assert params.dims == (12, 16, 4)  # 3 members x 4 choices in
         probs = forward(params, data.features)
         acc = float(np.mean(np.argmax(probs, axis=1) == data.targets))
         assert acc > 0.99
 
-    def test_best_val_tracking(self):
+    def test_best_val_tracking(self, monkeypatch):
+        monkeypatch.setattr(fusion, "HIDDEN", (16,))
         corpus = separable_confidences(300, seed=1)
         tr, va, _ = split(corpus, SplitSpec(0.7, 0.3, 0.0, seed=0))
         members = corpus.model_ids
@@ -371,25 +363,25 @@ class TestTrain:
         dims = (12, 16, 4)
         epoch0 = init_params(dims, seed=4)
         loss0, _ = loss_and_grad(epoch0, val_data.features, val_data.targets, val_data.active)
-        params = train(train_data, val_data, dims, TrainConfig(epochs=30, seed=4))
+        params = train(train_data, val_data, TrainConfig(epochs=30, seed=4))
         loss1, _ = loss_and_grad(params, val_data.features, val_data.targets, val_data.active)
         assert loss1 <= loss0
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(fusion, "HIDDEN", (8,))
         corpus = separable_confidences(120, seed=2)
         data = self.make_data(corpus, corpus.model_ids)
-        dims = (12, 8, 4)
-        a = train(data, None, dims, TrainConfig(epochs=5, seed=11))
-        b = train(data, None, dims, TrainConfig(epochs=5, seed=11))
+        a = train(data, None, TrainConfig(epochs=5, seed=11))
+        b = train(data, None, TrainConfig(epochs=5, seed=11))
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
-    def test_sgd_option(self):
+    def test_sgd_option(self, monkeypatch):
+        monkeypatch.setattr(fusion, "HIDDEN", (8,))
         corpus = separable_confidences(120, seed=3)
         data = self.make_data(corpus, corpus.model_ids)
-        dims = (12, 8, 4)
-        params = train(data, None, dims,
+        params = train(data, None,
                        TrainConfig(epochs=5, seed=0, optimizer="sgd", learning_rate=0.5))
         assert all(np.isfinite(w).all() for w, _ in params.layers)
 
@@ -398,10 +390,10 @@ class TestTrain:
 
         empty = FusionData(
             features=np.zeros((0, 4)), targets=np.zeros(0, dtype=np.intp),
-            active=np.zeros(0, dtype=np.intp), episode_ids=[],
+            active=np.zeros(0, dtype=np.intp), episode_ids=[], slots=2,
         )
         with pytest.raises(ValueError):
-            train(empty, None, (4, 2), TrainConfig())
+            train(empty, None, TrainConfig())
 
     @pytest.mark.parametrize("patience", [0, -1])
     def test_patience_below_one_is_refused(self, patience):
@@ -446,7 +438,7 @@ class TestFusionTable:
         rec = mcq_record("r0", probs={m: [0.25] * 4 for m in members})
         table, unusable = build_fusion_table([rec], members, k=1)
         assert unusable == []
-        assert table.features.shape == (1, fusion_dims("mcq", 8, 1, m=4)[0])
+        assert table.slots == 4 and table.features.shape == (1, 8 * 4)
 
     def test_more_passes_than_k_names_record_model_and_flag(self):
         rec = oeq_record("r0", passes={"a": [ok_pass("7")], "b": [ok_pass("7")] * 3})
