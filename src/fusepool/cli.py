@@ -19,7 +19,7 @@ from pathlib import Path
 from .answers import first_usable_text
 from .corpus import Corpus, SplitSpec, TaskKind, load_corpus, save_corpus, split, task_of
 from .evaluation import evaluate_records, train_and_score_split
-from .fusion import TrainConfig, load_params, save_params
+from .fusion import TrainConfig, build_fusion_table, load_params, save_params
 from .harvest import (
     DEFAULT_MAX_IN_FLIGHT,
     AuthError,
@@ -285,20 +285,41 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _artifact_error(path: Path, produced_by: str, problem: str) -> ValueError:
+    return ValueError(f"{path} {problem}; re-run the {produced_by} stage")
+
+
 def _load_artifact(path: Path, produced_by: str) -> dict:
+    """A stage's JSON object; a file that is not one names itself and its stage."""
     with open(_require_artifact(path, produced_by), encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            artifact = json.load(fh)
+        except ValueError as exc:
+            raise _artifact_error(path, produced_by, f"is not valid JSON ({exc})") from None
+    if not isinstance(artifact, dict):
+        raise _artifact_error(path, produced_by, "does not hold a JSON object")
+    return artifact
 
 
 def _load_ensemble(out: Path, corpus: Corpus) -> dict:
     """The prune stage's ``ensemble.json``, refused when it was pruned from a
-    pool other than this corpus's: its members would name other models."""
-    ensemble = _load_artifact(out / "ensemble.json", "prune")
+    pool other than this corpus's (its members would name other models) or
+    when its members are not distinct models of that pool."""
+    path = out / "ensemble.json"
+    ensemble = _load_artifact(path, "prune")
     if ensemble.get("model_ids") != corpus.model_ids:
         raise ValueError(
-            f"{out / 'ensemble.json'} was pruned from the pool {ensemble.get('model_ids')}, "
+            f"{path} was pruned from the pool {ensemble.get('model_ids')}, "
             f"not this corpus's {corpus.model_ids}; re-run the prune stage on this corpus"
         )
+    members = ensemble.get("members")
+    if not isinstance(members, list) or not members:
+        raise _artifact_error(path, "prune", "has no 'members' list of model ids")
+    for i, member in enumerate(members):
+        if member not in corpus.model_ids:
+            raise _artifact_error(path, "prune", f"names {member!r}, not a model of the pool")
+        if member in members[:i]:
+            raise _artifact_error(path, "prune", f"names {member!r} twice")
     return ensemble
 
 
@@ -339,7 +360,11 @@ def cmd_evaluate(args) -> int:
     corpus, task = _load_checked(args)
     out = Path(args.out)
     ensemble = _load_ensemble(out, corpus)
-    params = load_params(_require_artifact(out / "fusion_params.json", "train-weighted"))
+    params_path = _require_artifact(out / "fusion_params.json", "train-weighted")
+    try:
+        params = load_params(params_path)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run the train-weighted stage") from None
     trained = _load_artifact(out / "train_report.json", "train-weighted")
     for key in _TRAINING_SETTINGS:  # another split would score training episodes
         if trained.get(key) != getattr(args, key):
@@ -354,8 +379,15 @@ def cmd_evaluate(args) -> int:
         )
     _, _, test_part = split(corpus, _split_spec(args))
     _require_episodes(test_part.records, "the test split is empty", "--test-frac")
-    report = evaluate_records(test_part.records, ensemble["members"], params,
-                              args.k_passes, task.kind)
+    members = ensemble["members"]
+    table = build_fusion_table(test_part.records, members, args.k_passes)
+    slots = table[0].slots
+    if params.dims[0] != len(members) * slots or params.dims[-1] != slots:
+        raise _artifact_error(params_path, "train-weighted",
+                              f"holds a net of dims {params.dims}, which does not fit the "
+                              f"{len(members)} members x {slots} slots of this team")
+    report = evaluate_records(test_part.records, members, params, args.k_passes, task.kind,
+                              table=table)
     with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for row in report.predictions:
             fh.write(json.dumps(row, ensure_ascii=False))

@@ -407,14 +407,22 @@ def save_params(params: FusionParameters, path: str) -> None:
 
 
 def load_params(path: str) -> FusionParameters:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise ValueError(f"unsupported parameter file version {version!r}")
-    layers = [
-        (np.asarray(layer["weights"], dtype=np.float64),
-         np.asarray(layer["bias"], dtype=np.float64))
-        for layer in payload["layers"]
-    ]
-    return FusionParameters(layers=layers, dims=tuple(payload["dims"]))
+    """The parameters ``save_params`` wrote; anything else is a ValueError
+    that names ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        version = payload.get("format_version")
+        if version != PARAMS_FORMAT_VERSION:
+            raise ValueError(f"unsupported parameter file version {version!r}")
+        layers = [
+            (np.asarray(layer["weights"], dtype=np.float64),
+             np.asarray(layer["bias"], dtype=np.float64))
+            for layer in payload["layers"]
+        ]
+        return FusionParameters(layers=layers, dims=tuple(payload["dims"]))
+    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValueError(f"{path} is not a parameter file that save_params wrote "
+                         f"({type(exc).__name__}: {exc})") from None

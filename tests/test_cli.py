@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,16 +62,25 @@ class TestPipeline:
         rows = (out / "candidates.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 247
 
-    def test_prune_is_idempotent(self, tmp_path, pool_corpus):
-        out = tmp_path / "run"
-        run("prune", "--corpus", pool_corpus, "--out", out, "--seed", "5")
-        first = {
-            name: (out / name).read_bytes()
-            for name in ("candidates.csv", "ensemble.json")
-        }
-        run("prune", "--corpus", pool_corpus, "--out", out, "--seed", "5")
-        for name, blob in first.items():
-            assert (out / name).read_bytes() == blob
+    @pytest.mark.parametrize("pool, k", [(lambda: correlated_pool(6, 200, seed=0), 1),
+                                         (lambda: oeq_pool(4, 300, k=5), 5)],
+                             ids=["mcq", "oeq"])
+    def test_pipeline_reruns_byte_for_byte(self, tmp_path, pool, k):
+        corpus = tmp_path / "pool.jsonl"
+        save_corpus(pool(), corpus)
+        stages = [["prune"], ["train-weighted", "--k-passes", k, "--epochs", 20],
+                  ["evaluate", "--k-passes", k], ["diversity-report"], ["summarize-prep"]]
+        runs = []
+        for name in ("first", "again"):
+            out = tmp_path / name
+            for argv in stages:
+                assert run(*argv, "--corpus", corpus, "--out", out, "--seed", 5) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == {
+            "candidates.csv", "ensemble.json", "fusion_params.json", "train_report.json",
+            "predictions.jsonl", "report.json", "diversity_report.csv",
+            "diversity_report.json", "failure_matrix.csv", "summary_inputs.jsonl"}
 
     def test_random_pick_among_topk(self, tmp_path, pool_corpus):
         picks = set()
@@ -620,3 +630,116 @@ def test_main_exits_0_or_2_on_a_mutated_corpus(tmp_path_factory, mutations, meth
         again = _run_and_collect([*argv, "--out", work / f"{i}b"], work / f"{i}b")
         assert first[0] in (0, 2)
         assert again == first
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A 4-model pool with its prune and two-epoch train-weighted artifacts."""
+    work = tmp_path_factory.mktemp("trained")
+    corpus = work / "pool.jsonl"
+    save_corpus(correlated_pool(4, 200, seed=0), corpus)
+    out = work / "run"
+    assert run("prune", "--corpus", corpus, "--out", out) == 0
+    assert run("train-weighted", "--corpus", corpus, "--out", out, "--epochs", "2") == 0
+    return corpus, out
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _params_without_a_bias(doc):
+    return {**doc, "layers": [{"weights": doc["layers"][0]["weights"]}, *doc["layers"][1:]]}
+
+
+_READERS = {"ensemble.json": ["train-weighted", "evaluate", "summarize-prep"],
+            "train_report.json": ["evaluate"], "fusion_params.json": ["evaluate"]}
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("ensemble.json", _without("members"), "'members'"),
+    ("ensemble.json", lambda doc: [], "JSON object"),
+    ("train_report.json", lambda doc: [], "JSON object"),
+    ("fusion_params.json", lambda doc: {"format_version": 1}, "'layers'"),
+    ("fusion_params.json", _params_without_a_bias, "'bias'"),
+    ("ensemble.json", "{", "JSON"),
+    ("train_report.json", "{", "JSON"),
+    ("fusion_params.json", "{", "JSON"),
+    ("ensemble.json", _with("members", ["zzz", "clone-1"]), "'zzz'"),
+    ("ensemble.json", _with("members", []), "'members'"),
+    ("ensemble.json", _with("members", ["clone-1", "clone-1"]), "'clone-1'"),
+], ids=["ensemble-no-members", "ensemble-list", "report-list", "params-no-layers",
+        "params-no-bias", "ensemble-brace", "report-brace", "params-brace",
+        "unknown-member", "no-members", "repeated-member"])
+def test_malformed_artifact_exits_2_naming_its_file(tmp_path, capsys, trained_run, name, edit,
+                                                    named):
+    corpus, trained = trained_run
+    for stage in _READERS[name]:
+        out = tmp_path / stage
+        shutil.copytree(trained, out)
+        path = out / name
+        path.write_text(edit if isinstance(edit, str)
+                        else json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert run(stage, "--corpus", corpus, "--out", out) == 2, stage
+        err = capsys.readouterr().err
+        produced_by = "prune" if name == "ensemble.json" else "train-weighted"
+        assert str(path) in err and named in err and f"re-run the {produced_by} stage" in err
+        assert "Traceback" not in err
+
+
+def test_evaluate_names_a_parameter_file_that_does_not_fit_the_team(tmp_path, capsys,
+                                                                     trained_run):
+    corpus, trained = trained_run
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    fusion.save_params(fusion.init_params((12, 100, 100, 4), seed=0), out / "fusion_params.json")
+    capsys.readouterr()
+    assert run("evaluate", "--corpus", corpus, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(out / "fusion_params.json") in err and "(12, 100, 100, 4)" in err
+    assert "2 members x 4 slots" in err and "re-run the train-weighted stage" in err
+    assert not (out / "report.json").exists()
+
+
+_ARTIFACT_PATHS = [
+    ("ensemble.json", ()), ("ensemble.json", ("model_ids",)), ("ensemble.json", ("members",)),
+    ("ensemble.json", ("members", 0)), ("ensemble.json", ("members", 1)),
+    ("ensemble.json", ("size",)),
+    ("train_report.json", ()), ("train_report.json", ("members",)),
+    ("train_report.json", ("members", 0)), ("train_report.json", ("seed",)),
+    ("train_report.json", ("k_passes",)), ("train_report.json", ("test_frac",)),
+    ("fusion_params.json", ()), ("fusion_params.json", ("format_version",)),
+    ("fusion_params.json", ("dims",)), ("fusion_params.json", ("dims", 0)),
+    ("fusion_params.json", ("dims", -1)), ("fusion_params.json", ("layers",)),
+    ("fusion_params.json", ("layers", 0)), ("fusion_params.json", ("layers", -1, "weights")),
+    ("fusion_params.json", ("layers", 0, "weights", 0)),
+    ("fusion_params.json", ("layers", 0, "weights", 0, 0)),
+    ("fusion_params.json", ("layers", -1, "bias")),
+    ("fusion_params.json", ("layers", -1, "bias", 0)),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_ARTIFACT_PATHS),
+       value=st.sampled_from([*_FUZZ_VALUES, "{", "clone-2", 4, [3, 100, 4]]))
+def test_stages_exit_0_or_2_on_a_mutated_artifact(tmp_path_factory, trained_run, target, value):
+    corpus, trained = trained_run
+    out = tmp_path_factory.mktemp("artifact") / "run"
+    shutil.copytree(trained, out)
+    (name, path) = target
+    doc = json.loads((out / name).read_text())
+    if not path:
+        doc = value
+    else:
+        _mutate_field([doc], 0, path, value)
+    if doc is _DELETE:
+        (out / name).unlink()
+    else:
+        (out / name).write_text(doc if doc == "{" else json.dumps(doc))
+    for argv in (["evaluate"], ["summarize-prep"], ["train-weighted", "--epochs", "1"]):
+        assert run(*argv, "--corpus", corpus, "--out", out) in (0, 2)

@@ -502,3 +502,20 @@ class TestSerialization:
         path.write_text('{"format_version": 99, "dims": [2, 2], "layers": []}')
         with pytest.raises(ValueError, match="version"):
             load_params(path)
+
+    @pytest.mark.parametrize("text, named", [
+        ("{", "JSONDecodeError"),
+        ("[]", "not a JSON object"),
+        ('{"format_version": 1}', "'layers'"),
+        ('{"format_version": 1, "dims": [2, 2], "layers": [{"weights": [[1, 0], [0, 1]]}]}',
+         "'bias'"),
+        ('{"format_version": 1, "dims": [2, 2], "layers": [{"weights": [[1, 0]], "bias": [0]}]}',
+         "does not chain"),
+        ('{"format_version": 1, "dims": 2, "layers": []}', "TypeError"),
+    ])
+    def test_a_malformed_file_is_refused_naming_its_path(self, tmp_path, text, named):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="params.json is not a parameter file") as err:
+            load_params(path)
+        assert named in str(err.value)
