@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .corpus import PROB_SUM_TOL, EpisodeRecord, ProvidedVectors, vector_list
+from .corpus import PROB_SUM_TOL, EpisodeRecord, ProvidedVectors, float_sum, vector_list
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ class ChoiceDistribution:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.probs):
             raise ValueError(f"{self.model_id}: negative probability")
-        if sum(self.probs) > 1.0 + PROB_SUM_TOL:
+        if float_sum(self.probs) > 1.0 + PROB_SUM_TOL:
             raise ValueError(f"{self.model_id}: probabilities sum past 1")
 
 
@@ -165,7 +165,7 @@ def assemble_mcq_distributions(
             return None
         counts = Counter(parsed_answers(record, model_id))
         probs = [counts[c] / k for c in range(m)]
-        residual = 1.0 - sum(probs)
+        residual = 1.0 - float_sum(probs)
         if residual > 1e-12:
             if not counts:
                 log.warning("record %s: model %s has zero parsed passes; using uniform",

@@ -84,9 +84,16 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-frac", type=_unit_fraction, default=0.15)
 
 
-def _add_task_flag(p: argparse.ArgumentParser) -> None:
+def _add_stage(sub, name: str, help: str, out: str = "--out") -> argparse.ArgumentParser:
+    """A stage's parser with the flags every stage shares: the input corpus,
+    the expected task, the output path (flag ``out``) and the seed."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--corpus", required=True)
     p.add_argument("--task", choices=["mcq", "oeq", "gq"],
                    help="expected task kind; fails fast when the corpus differs")
+    p.add_argument(out, required=True)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,22 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("harvest", help="collect K passes per model per query")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
+    p = _add_stage(sub, "harvest", "collect K passes per model per query", out="--out-corpus")
     p.add_argument("--endpoints", required=True, help="JSON list of endpoint configs")
-    p.add_argument("--out-corpus", required=True)
     p.add_argument("--k-passes", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_percent, default=100.0,
                    help="percent of queries to harvest")
     p.add_argument("--template-file", help="prompt template text file")
     p.add_argument("--max-in-flight", type=_positive_int, default=DEFAULT_MAX_IN_FLIGHT)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
 
-    p = sub.add_parser("prune", help="rank candidate sub-ensembles")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
-    p.add_argument("--out", required=True)
+    p = _add_stage(sub, "prune", "rank candidate sub-ensembles")
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--w1", type=_unit_fraction, default=0.6)
     p.add_argument("--w2", type=_unit_fraction, default=0.4)
@@ -124,49 +124,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick the ensemble uniformly among the top-k")
     p.add_argument("--tau", type=_unit_fraction, default=0.5,
                    help="unigram-recall failure threshold for generative tasks")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
-    p = sub.add_parser("train-weighted", help="train the fusion combiner")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
-    p.add_argument("--out", required=True)
+    p = _add_stage(sub, "train-weighted", "train the fusion combiner")
     p.add_argument("--k-passes", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=200)
     p.add_argument("--learning-rate", type=_positive_finite, default=1e-3)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     p.add_argument("--patience", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
-    p = sub.add_parser("evaluate", help="score the trained combiner on the test split")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
-    p.add_argument("--out", required=True)
+    p = _add_stage(sub, "evaluate", "score the trained combiner on the test split")
     p.add_argument("--k-passes", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
-    p = sub.add_parser("diversity-report",
-                       help="per-candidate diversity/accuracy CSV and correlation")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
-    p.add_argument("--out", required=True)
+    p = _add_stage(sub, "diversity-report", "per-candidate diversity/accuracy CSV and correlation")
     p.add_argument("--w1", type=_unit_fraction, default=0.6)
     p.add_argument("--w2", type=_unit_fraction, default=0.4)
     p.add_argument("--tau", type=_unit_fraction, default=0.5)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="val")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_split_flags(p)
 
-    p = sub.add_parser("summarize-prep",
-                       help="serialize query+candidates for a summary combiner")
-    p.add_argument("--corpus", required=True)
-    _add_task_flag(p)
-    p.add_argument("--out", required=True)
+    p = _add_stage(sub, "summarize-prep", "serialize query+candidates for a summary combiner")
     p.add_argument("--budget", type=int, default=DEFAULT_TOKEN_BUDGET, help="token budget")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 
@@ -182,6 +163,12 @@ def _split_spec(args) -> SplitSpec:
 
 # Flags that fix the split and the features; evaluate must repeat training's.
 _TRAINING_SETTINGS = ("seed", "k_passes", "train_frac", "val_frac", "test_frac")
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """A stage's JSON artifact, indented; strict JSON, so a NaN is refused."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -279,8 +266,7 @@ def cmd_prune(args) -> int:
         "method": method,
         "seed": args.seed,
     }
-    with open(out / "ensemble.json", "w", encoding="utf-8") as fh:
-        json.dump(ensemble, fh, indent=2)
+    _write_json(out / "ensemble.json", ensemble)
     log.info("ranked %d candidates; selected %s", len(ranked), ensemble["members"])
     return 0
 
@@ -348,8 +334,7 @@ def cmd_train_weighted(args) -> int:
         "val_accuracy": val_report.accuracy if val_part.records else None,
         **{key: getattr(args, key) for key in _TRAINING_SETTINGS},
     }
-    with open(out / "train_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "train_report.json", report)
     val_note = (f"val accuracy {val_report.accuracy:.4f}" if val_part.records
                 else "no val episodes")
     log.info("trained fusion net %s; %s", params.dims, val_note)
@@ -392,8 +377,7 @@ def cmd_evaluate(args) -> int:
         for row in report.predictions:
             fh.write(json.dumps(row, ensure_ascii=False))
             fh.write("\n")
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.summary(), fh, indent=2)
+    _write_json(out / "report.json", report.summary())
     print(f"test accuracy {report.accuracy:.4f} over {report.n_episodes} episodes "
           f"(plurality {report.plurality_accuracy:.4f})")
     return 0
@@ -413,14 +397,13 @@ def cmd_diversity_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scorer.failures.to_csv(out / "failure_matrix.csv")
     write_candidates_csv(out / "diversity_report.csv", report.candidates, scorer.n_models)
-    summary = {
+    rho = report.pearson_rho  # NaN where the correlation is undefined, null in the file
+    _write_json(out / "diversity_report.json", {
         "n_candidates": len(report.candidates),
-        "pearson_diversity_accuracy": report.pearson_rho,
+        "pearson_diversity_accuracy": None if math.isnan(rho) else rho,
         "split": args.split,
         "n_episodes": len(records),
-    }
-    with open(out / "diversity_report.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    })
     print(f"{len(report.candidates)} candidates; "
           f"Pearson rho(diversity, accuracy) = {report.pearson_rho:.4f}")
     return 0

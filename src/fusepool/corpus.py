@@ -8,16 +8,16 @@ model ids are derived from the records in first-seen order, so a model that
 never appears in any record does not survive a save/load round trip.
 
 ``load_corpus`` reads in one pass. Each line is decoded and its fields are
-checked as it is read; the provided vectors are gathered into blocks of
-``VECTOR_BLOCK`` vectors of one length and checked together as one float64
-array (``_block_rows``), the array form of the vector rule
-``_vector_fault`` that ``EpisodeRecord.validate`` applies. When a block
-fails, or a line fails any other check while a block is pending, the
-block's records are checked one by one in line order, so the error names
-the first bad line with the message ``validate`` gives. The cyclic garbage
-collector is paused while lines are decoded: the records hold no reference
-cycles, and each collection would walk every container built so far. The
-caller's collector state is restored however the load ends.
+checked as it is read (``EpisodeRecord._validate_fields``); the provided
+vectors are gathered into blocks of ``VECTOR_BLOCK`` vectors of one length
+and checked together as one float64 array (``_block_rows``), the array form
+of the vector rule ``_vector_fault`` that ``EpisodeRecord._validate_vectors``
+applies. When a block fails, or a line fails any other check while a block
+is pending, the block's records are checked one by one in line order, so
+the error names the first bad line with the message ``validate`` gives. The
+cyclic garbage collector is paused while lines are decoded: the records hold
+no reference cycles, and each collection would walk every container built
+so far. The caller's collector state is restored however the load ends.
 
 A block that passes is kept: the block array is made read-only, and each
 loaded MCQ record's ``provided_choice_probs`` becomes a ``ProvidedVectors``,
@@ -67,18 +67,24 @@ def _check_id(rec_id):
     return rec_id
 
 
+def float_sum(values) -> float:
+    """The one float sum: ``values`` added left to right in float64. Every float
+    total in the package is this sum, so it is the same on every interpreter
+    (from 3.12 the built-in ``sum`` of floats is compensated, so it is not used)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _vector_fault(probs, m: int) -> str | None:
     """The provided-vector rule: what is wrong with one vector for an m-choice
     question, or None. The first that applies: not a list of numbers, an entry
-    too large for a float, a length other than m, a negative entry, a sum more
-    than ``PROB_SUM_TOL`` off 1 (a NaN sum is off). The sum adds the entries
-    left to right in float64, so the accept boundary is the same on every
-    interpreter."""
+    too large for a float, a length other than m, a negative entry, a
+    ``float_sum`` more than ``PROB_SUM_TOL`` off 1 (a NaN sum is off)."""
     try:
         negative = any(p < 0 for p in probs)
-        total = 0.0
-        for p in probs:
-            total += p
+        total = float_sum(probs)
     except TypeError:
         return "must be a list of numbers"
     except OverflowError:
@@ -96,8 +102,8 @@ def _block_rows(vectors: list, m: int) -> np.ndarray | None:
     """The vectors as one read-only (vectors, m) float64 array if every one
     passes ``_vector_fault`` for an m-choice question, else None. Each entry
     is converted as ``float`` converts it, the comparisons are the same, and
-    the columns are added left to right, so each row's sum is the same
-    float64 sum."""
+    the columns are added left to right, so each row's sum is its
+    ``float_sum``."""
     try:
         if set(map(len, vectors)) != {m}:
             return None
@@ -237,7 +243,13 @@ class EpisodeRecord:
     provided_choice_probs: Mapping[str, Sequence[float]] | None = None
 
     def validate(self) -> None:
-        """Every schema check, the provided vectors' entries last."""
+        """Every schema check: the fields, then the provided vectors' entries."""
+        self._validate_fields()
+        self._validate_vectors()
+
+    def _validate_fields(self) -> None:
+        """Every schema check but the provided vectors' entries, which
+        ``load_corpus`` checks a block at a time."""
         _check_id(self.id)
         if not isinstance(self.prompt, str):
             raise SchemaError(f"record {self.id}: prompt: must be text")
@@ -269,7 +281,6 @@ class EpisodeRecord:
                     )
         if self.provided_choice_probs is not None and not self.task.is_mcq:
             raise SchemaError(f"record {self.id}: provided_choice_probs: only valid for mcq")
-        self._validate_vectors()
 
     def _validate_vectors(self) -> None:
         """Each provided vector against the vector rule, ``_vector_fault``;
@@ -415,11 +426,7 @@ def _record_from_line(line: str, tasks: dict) -> EpisodeRecord:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     rec = _record_from_json(obj, tasks)
-    vectors = rec.provided_choice_probs
-    if rec.task.is_mcq:  # held aside: validate checks a record's vector entries last
-        rec.provided_choice_probs = None
-    rec.validate()
-    rec.provided_choice_probs = vectors
+    rec._validate_fields()
     return rec
 
 

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .answers import answers_equal, member_blocks, model_prediction
-from .corpus import EpisodeRecord
+from .corpus import EpisodeRecord, float_sum
 from .metrics import unigram_recall
 
 
@@ -138,7 +138,7 @@ def focal_diversity(failures: FailureMatrix, members: Sequence[str]) -> float:
     if len(members) < 2:
         raise ValueError("ensemble needs at least 2 members")
     scores = [focal_negative_correlation(failures, members, m).rho for m in members]
-    return float(sum(scores) / len(scores))
+    return float_sum(scores) / len(scores)
 
 
 @dataclass(frozen=True)

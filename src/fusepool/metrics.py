@@ -15,6 +15,8 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 
+from .corpus import float_sum
+
 _PUNCT_RE = re.compile(r"[!\"#$%&'()*+,\-./:;<=>?@\[\\\]^_`{|}~]")
 _ARTICLES = {"a", "an", "the"}
 
@@ -114,11 +116,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(xs) < 2:
         raise ValueError("need at least two points")
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    mx = float_sum(xs) / n
+    my = float_sum(ys) / n
+    sxy = float_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = float_sum((x - mx) ** 2 for x in xs)
+    syy = float_sum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         return float("nan")
     return sxy / math.sqrt(sxx * syy)

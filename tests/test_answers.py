@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from fusepool.answers import (
     parsed_answers,
     plurality_prediction,
 )
-from fusepool.corpus import PROB_SUM_TOL, RawPass
+from fusepool.corpus import PROB_SUM_TOL, RawPass, _vector_fault
 
 from test_corpus import mcq_record, oeq_record
 
@@ -147,6 +148,15 @@ class TestChoiceDistribution:
         ChoiceDistribution(model_id="m", probs=[0.25, 0.25, 0.25, 0.2500005])
         with pytest.raises(ValueError, match="m: probabilities sum past 1"):
             ChoiceDistribution(model_id="m", probs=[0.5, 0.5 + 2 * PROB_SUM_TOL])
+
+    def test_accepts_what_the_vector_rule_accepts_on_every_interpreter(self):
+        # Added left to right this is 1.000001, within PROB_SUM_TOL of 1. A
+        # compensated sum, as the built-in sum of floats is from 3.12, gives
+        # 1.0000010000000001 and would refuse it.
+        probs = [0.3, 0.2, 1 / 3, 0.16666766666666671]
+        assert math.fsum(probs) > 1.0 + PROB_SUM_TOL
+        assert _vector_fault(probs, 4) is None
+        ChoiceDistribution(model_id="m", probs=probs)
 
 
 class TestPredictions:

@@ -171,8 +171,8 @@ class TestPersistence:
         path = tmp_path / "c.jsonl"
         save_corpus(corpus_of(5), path)
         calls = []
-        original = EpisodeRecord.validate
-        monkeypatch.setattr(EpisodeRecord, "validate",
+        original = EpisodeRecord._validate_fields
+        monkeypatch.setattr(EpisodeRecord, "_validate_fields",
                             lambda rec: calls.append(rec.id) or original(rec))
         load_corpus(path)
         assert calls == [f"r{i}" for i in range(5)]
