@@ -179,13 +179,23 @@ def _require_artifact(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_endpoints(path: str) -> list[EndpointConfig]:
+def _read_json(path) -> object:
+    """The JSON value in the file ``path``; a file that is not JSON names itself."""
     with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON ({exc})") from None
+
+
+def _load_endpoints(path: str) -> list[EndpointConfig]:
+    entries = _read_json(path)
     if not isinstance(entries, list):
         raise ValueError(f"endpoints file {path} must hold a JSON list of objects")
     endpoints = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"endpoints file {path}: entry {i} is not a JSON object")
         try:
             endpoints.append(EndpointConfig(**entry))
         except (TypeError, ValueError) as exc:
@@ -277,11 +287,10 @@ def _artifact_error(path: Path, produced_by: str, problem: str) -> ValueError:
 
 def _load_artifact(path: Path, produced_by: str) -> dict:
     """A stage's JSON object; a file that is not one names itself and its stage."""
-    with open(_require_artifact(path, produced_by), encoding="utf-8") as fh:
-        try:
-            artifact = json.load(fh)
-        except ValueError as exc:
-            raise _artifact_error(path, produced_by, f"is not valid JSON ({exc})") from None
+    try:
+        artifact = _read_json(_require_artifact(path, produced_by))
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run the {produced_by} stage") from None
     if not isinstance(artifact, dict):
         raise _artifact_error(path, produced_by, "does not hold a JSON object")
     return artifact
@@ -467,8 +476,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return
-    with open(path, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+    defaults = _read_json(path)
     if not isinstance(defaults, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     subparsers = [sub for group in parser._subparsers._group_actions  # noqa: SLF001

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import fusepool
 from fusepool import evaluation, fusion
 from fusepool.cli import main
-from fusepool.corpus import load_corpus, save_corpus
+from fusepool.corpus import Corpus, EpisodeRecord, RawPass, TaskKind, load_corpus, save_corpus
 from fusepool.synthetic import correlated_pool, oeq_pool, separable_confidences
 
 
@@ -169,6 +170,7 @@ class TestErrors:
          "entry 0: max_tokens"),
         ([{"base_url": "http://localhost:9", "model_name": "a", "max_retries": 1.5}],
          "entry 0: max_retries"),
+        ([1], "entry 0 is not a JSON object"),
     ])
     def test_bad_endpoints_file_names_the_entry(self, tmp_path, pool_corpus, capsys,
                                                 entries, named):
@@ -177,6 +179,19 @@ class TestErrors:
         assert run("harvest", "--corpus", pool_corpus, "--endpoints", endpoints,
                    "--out-corpus", tmp_path / "h.jsonl") == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{bad}", "prune", "--corpus", "{corpus}", "--out", "{out}"],
+        ["harvest", "--corpus", "{corpus}", "--endpoints", "{bad}", "--out-corpus", "{out}"],
+    ], ids=["config", "endpoints"])
+    def test_a_flag_file_that_is_not_json_names_itself(self, tmp_path, pool_corpus, capsys,
+                                                       argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{'seed': 1}")
+        names = {"bad": bad, "corpus": pool_corpus, "out": tmp_path / "o"}
+        assert run(*(a.format(**names) for a in argv)) == 2
+        assert (f"error: {bad} is not valid JSON (Expecting property name enclosed in double "
+                "quotes") in capsys.readouterr().err
 
     def test_evaluate_refuses_a_split_other_than_training(self, tmp_path, pool_corpus, capsys):
         out = tmp_path / "run"
@@ -504,6 +519,41 @@ def test_task_flag_validates_corpus_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mcq" in err and "oeq" in err
     assert run("prune", "--corpus", path, "--out", tmp_path / "o", "--task", "mcq") == 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_generative_corpus_runs_the_stages_that_apply_to_it(tmp_path, capsys):
+    # GQ failures follow unigram recall and have no accuracy, so pruning ranks
+    # by diversity alone, the correlation is undefined (null) and the
+    # learned combiner refuses the task.
+    rng = random.Random(7)
+    words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
+    records = [
+        EpisodeRecord(id=f"g{i}", task=TaskKind.gq(), prompt=f"question g{i}",
+                      ground_truth=" ".join(rng.sample(words, 3)),
+                      passes={m: [RawPass(raw_text=" ".join(rng.sample(words, 3)))]
+                              for m in ("a", "b", "c")})
+        for i in range(60)
+    ]
+    corpus = tmp_path / "gq.jsonl"
+    save_corpus(Corpus(records=records, model_ids=["a", "b", "c"]), corpus)
+    out = tmp_path / "run"
+    assert run("prune", "--corpus", corpus, "--out", out, "--seed", 2) == 0
+    ensemble = json.loads((out / "ensemble.json").read_text(), parse_constant=_refuse_constant)
+    assert ensemble["val_accuracy"] is None
+    assert run("diversity-report", "--corpus", corpus, "--out", out, "--split", "all") == 0
+    summary = json.loads((out / "diversity_report.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["pearson_diversity_accuracy"] is None
+    assert summary["n_candidates"] == 4
+    assert run("summarize-prep", "--corpus", corpus, "--out", out) == 0
+    assert len((out / "summary_inputs.jsonl").read_text().splitlines()) == 60
+    capsys.readouterr()
+    assert run("train-weighted", "--corpus", corpus, "--out", out, "--seed", 2) == 2
+    assert "mcq and oeq tasks only" in capsys.readouterr().err
 
 
 def test_prune_topk_above_ga_population_on_a_large_pool(tmp_path):

@@ -59,7 +59,8 @@ class StubEndpoint:
     waits the model's ``delay`` seconds before its reply, and ``log`` stamps
     its arrival and reply on the monotonic clock. A GET, which only a
     followed redirect would send, is answered 404 and its path kept in
-    ``followed``; ``user_agents`` keeps each POST's User-Agent header.
+    ``followed``; ``user_agents`` and ``authorizations`` keep each POST's
+    User-Agent and Authorization header (None where it has none).
     """
 
     def __init__(self):
@@ -70,6 +71,7 @@ class StubEndpoint:
         self.replies = {}
         self.requests = []
         self.user_agents = []
+        self.authorizations = []
         self.followed = []
         self.log = []
         self.lock = threading.Lock()
@@ -83,6 +85,7 @@ class StubEndpoint:
                 prompt = body["messages"][0]["content"]
                 stub.requests.append(body)
                 stub.user_agents.append(self.headers["User-Agent"])
+                stub.authorizations.append(self.headers["Authorization"])
                 time.sleep(stub.delays.get(model, 0.0))
                 behavior = stub.behaviors.get(model, ("ok", "stub says hi"))
                 with stub.lock:
@@ -386,6 +389,40 @@ class TestHarvest:
     def test_each_request_names_the_client(self, stub):
         harvest(queries(2), [endpoint(stub, "m")], k=1)
         assert stub.user_agents == [f"fusepool/{fusepool.__version__}"] * 2
+
+    @pytest.mark.parametrize("key_env, value, sent", [
+        ("FUSEPOOL_TEST_KEY", "s3cret", "Bearer s3cret"),
+        ("FUSEPOOL_TEST_KEY", "", None),
+        ("FUSEPOOL_TEST_KEY", None, None),
+        ("", None, None),
+    ], ids=["key-set", "key-empty", "key-unset", "no-key-env"])
+    def test_the_key_from_the_environment_is_sent_as_a_bearer_token(self, stub, monkeypatch,
+                                                                     key_env, value, sent):
+        if value is None:
+            monkeypatch.delenv("FUSEPOOL_TEST_KEY", raising=False)
+        else:
+            monkeypatch.setenv("FUSEPOOL_TEST_KEY", value)
+        harvest(queries(2), [endpoint(stub, "m", api_key_env=key_env)], k=1)
+        assert stub.authorizations == [sent] * 2
+
+    @pytest.mark.parametrize("task, reply, parsed, status, asks", [
+        (TaskKind.oeq(), "Five plus two is seven. The answer is 7.", "7", "ok",
+         'finish with "The answer is N"'),
+        (TaskKind.oeq(), "I would rather not say.", None, "parse_failed",
+         'finish with "The answer is N"'),
+        (TaskKind.gq(), "  Paris, France  ", "Paris, France", "ok", "at most 4 words"),
+        (TaskKind.gq(), "   ", None, "parse_failed", "at most 4 words"),
+    ], ids=["oeq", "oeq-unparsed", "gq", "gq-blank"])
+    def test_default_templates_for_open_ended_and_generative_queries(
+            self, stub, task, reply, parsed, status, asks):
+        stub.set("m", ("ok", reply))
+        query = EpisodeRecord(id="q0", task=task, prompt="question q0", ground_truth="7")
+        out = harvest(Corpus(records=[query], model_ids=[]), [endpoint(stub, "m")], k=1)
+        (p,) = out.records[0].passes["m"]
+        assert (p.raw_text, p.parsed, p.status) == (reply, parsed, status)
+        (request,) = stub.requests
+        assert request["messages"][0]["content"].startswith("question q0\n")
+        assert asks in request["messages"][0]["content"]
 
     def test_proxies_come_from_the_environment(self, stub, monkeypatch):
         for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
