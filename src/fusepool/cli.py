@@ -81,7 +81,6 @@ _positive_finite = _float_where(lambda v: 0 < v < math.inf, "a positive finite n
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-frac", type=_unit_fraction, default=0.7)
     p.add_argument("--val-frac", type=_unit_fraction, default=0.15)
-    p.add_argument("--test-frac", type=_unit_fraction, default=0.15)
 
 
 def _add_stage(sub, name: str, help: str, out: str = "--out") -> argparse.ArgumentParser:
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_stage(sub, "prune", "rank candidate sub-ensembles")
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--w1", type=_unit_fraction, default=0.6)
-    p.add_argument("--w2", type=_unit_fraction, default=0.4)
     p.add_argument("--method", choices=["auto", "bf", "ga"], default="auto")
     p.add_argument("--ga-population", type=_int_at_least(GA_MIN_POPULATION), default=50)
     p.add_argument("--ga-plateau", type=_positive_int, default=100)
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_stage(sub, "diversity-report", "per-candidate diversity/accuracy CSV and correlation")
     p.add_argument("--w1", type=_unit_fraction, default=0.6)
-    p.add_argument("--w2", type=_unit_fraction, default=0.4)
     p.add_argument("--tau", type=_unit_fraction, default=0.5)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="val")
     _add_split_flags(p)
@@ -158,11 +155,20 @@ def _load_checked(args) -> tuple[Corpus, TaskKind]:
 
 
 def _split_spec(args) -> SplitSpec:
-    return SplitSpec(args.train_frac, args.val_frac, args.test_frac, seed=args.seed)
+    """The split the flags ask for: the test part is what train and val leave."""
+    test_frac = 1.0 - args.train_frac - args.val_frac
+    if test_frac < -1e-9:
+        raise ValueError(f"--train-frac {args.train_frac} and --val-frac {args.val_frac} "
+                         "sum to more than 1, which leaves no test part")
+    return SplitSpec(args.train_frac, args.val_frac, max(test_frac, 0.0), seed=args.seed)
 
 
 # Flags that fix the split and the features; evaluate must repeat training's.
-_TRAINING_SETTINGS = ("seed", "k_passes", "train_frac", "val_frac", "test_frac")
+_TRAINING_SETTINGS = ("seed", "k_passes", "train_frac", "val_frac")
+
+# What gives each split part episodes, for the empty-split refusals.
+_MORE_EPISODES = {"train": "raise --train-frac", "val": "raise --val-frac",
+                  "test": "lower --train-frac or --val-frac"}
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -234,29 +240,30 @@ def cmd_harvest(args) -> int:
     return 0
 
 
-def _require_episodes(records: list, empty: str, flag: str) -> list:
+def _require_episodes(records: list, empty: str, remedy: str) -> list:
     """The one empty-input rule: a stage refuses to score zero episodes and
-    names the flag that would give it some."""
+    names the flags that would give it some."""
     if not records:
-        raise ValueError(f"{empty}, so there is nothing to score; raise {flag}")
+        raise ValueError(f"{empty}, so there is nothing to score; {remedy}")
     return records
 
 
-def _score_records(args, corpus: Corpus):
+def _score_records(spec: SplitSpec, corpus: Corpus):
     """Records the pruning signals are computed on: the val split, falling
     back to the train split when no validation fraction was requested."""
-    train_part, val_part, _ = split(corpus, _split_spec(args))
+    train_part, val_part, _ = split(corpus, spec)
     return _require_episodes(val_part.records or train_part.records,
-                             "the val and train splits are both empty", "--val-frac")
+                             "the val and train splits are both empty", _MORE_EPISODES["val"])
 
 
 def cmd_prune(args) -> int:
     config = GaConfig(population=args.ga_population, plateau_gens=args.ga_plateau, seed=args.seed)
+    spec = _split_spec(args)
     corpus, _ = _load_checked(args)
     if len(corpus.model_ids) < 2:
         raise ValueError("pruning needs a pool of at least 2 models")
-    records = _score_records(args, corpus)
-    scorer = build_scorer(corpus, records, args.w1, args.w2, args.tau)
+    records = _score_records(spec, corpus)
+    scorer = build_scorer(corpus, records, args.w1, args.tau)
     n = scorer.n_models
     method, ranked = search(scorer, args.method, config)
 
@@ -319,11 +326,12 @@ def _load_ensemble(out: Path, corpus: Corpus) -> dict:
 
 
 def cmd_train_weighted(args) -> int:
+    spec = _split_spec(args)
     corpus, _ = _load_checked(args)
     out = Path(args.out)
     ensemble = _load_ensemble(out, corpus)
     members = ensemble["members"]
-    train_part, val_part, _ = split(corpus, _split_spec(args))
+    train_part, val_part, _ = split(corpus, spec)
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -351,6 +359,7 @@ def cmd_train_weighted(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    spec = _split_spec(args)
     corpus, task = _load_checked(args)
     out = Path(args.out)
     ensemble = _load_ensemble(out, corpus)
@@ -371,8 +380,8 @@ def cmd_evaluate(args) -> int:
             f"the prune stage picked {ensemble['members']} after train-weighted trained on "
             f"{trained.get('members')}; re-run train-weighted"
         )
-    _, _, test_part = split(corpus, _split_spec(args))
-    _require_episodes(test_part.records, "the test split is empty", "--test-frac")
+    _, _, test_part = split(corpus, spec)
+    _require_episodes(test_part.records, "the test split is empty", _MORE_EPISODES["test"])
     members = ensemble["members"]
     table = build_fusion_table(test_part.records, members, args.k_passes)
     slots = table[0].slots
@@ -393,14 +402,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diversity_report(args) -> int:
+    spec = _split_spec(args)
     corpus, _ = _load_checked(args)
     if args.split == "all":
         records = corpus.records
     else:
-        parts = dict(zip(("train", "val", "test"), split(corpus, _split_spec(args))))
+        parts = dict(zip(("train", "val", "test"), split(corpus, spec)))
         records = _require_episodes(parts[args.split].records,
-                                    f"the {args.split} split is empty", f"--{args.split}-frac")
-    scorer = build_scorer(corpus, records, args.w1, args.w2, args.tau)
+                                    f"the {args.split} split is empty", _MORE_EPISODES[args.split])
+    scorer = build_scorer(corpus, records, args.w1, args.tau)
     report = diversity_report(scorer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

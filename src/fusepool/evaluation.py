@@ -138,9 +138,6 @@ def run_split_protocol(
     k: int = 1,
     seed: int = 0,
     config: TrainConfig | None = None,
-    w1: float = 0.6,
-    w2: float = 0.4,
-    tau: float = 0.5,
 ) -> list[float]:
     """Repeated train/test protocol; returns the test accuracy per repeat.
 
@@ -156,7 +153,7 @@ def run_split_protocol(
         train_all, _, test_part = split(corpus, outer, repeat=repeat)
         train_part, val_part, _ = split(train_all, carve, repeat=repeat)
         if members is None:
-            scorer = build_scorer(corpus, val_part.records, w1, w2, tau)
+            scorer = build_scorer(corpus, val_part.records)
             _, ranked = search(scorer, config=GaConfig(seed=seed + repeat))
             picked = ranked[0].members(corpus.model_ids)
         else:

@@ -55,22 +55,17 @@ def mask_bitstring(mask: int, n: int) -> str:
     return format(mask, f"0{n}b")[::-1]
 
 
-def fitness(
-    lam: float, val_accuracy: float | None, w1: float = 0.6, w2: float = 0.4
-) -> float:
-    """Convex combination w1 * diversity + w2 * accuracy.
+def fitness(lam: float, val_accuracy: float | None, w1: float = 0.6) -> float:
+    """Convex combination w1 * diversity + (1 - w1) * accuracy.
 
     Without a validation accuracy (generative tasks) the score is the
     diversity alone, i.e. w1 is treated as 1. Arrays score elementwise.
     """
-    for name, w in (("w1", w1), ("w2", w2)):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"{name}={w} outside [0, 1]")
-    if abs(w1 + w2 - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {w1 + w2}, expected 1")
+    if not 0.0 <= w1 <= 1.0:
+        raise ValueError(f"w1={w1} outside [0, 1]")
     if val_accuracy is None:
         return lam
-    return w1 * lam + w2 * val_accuracy
+    return w1 * lam + (1.0 - w1) * val_accuracy
 
 
 @dataclass(frozen=True)
@@ -103,13 +98,11 @@ class CandidateScorer:
         failures: FailureMatrix,
         accuracy_fn: Callable[[Sequence[int]], np.ndarray] | None = None,
         w1: float = 0.6,
-        w2: float = 0.4,
     ) -> None:
-        fitness(0.0, None if accuracy_fn is None else 0.0, w1, w2)  # validate weights
+        fitness(0.0, None, w1)  # validate the weight
         self.failures = failures
         self.accuracy_fn = accuracy_fn
         self.w1 = w1
-        self.w2 = w2
         self._counts = CoFailureCounts.of(failures)
         self._memo: dict[int, EnsembleCandidate] = {}
 
@@ -135,7 +128,7 @@ class CandidateScorer:
         if new:
             lams = self._counts.focal_diversities(new)
             accs = None if self.accuracy_fn is None else np.asarray(self.accuracy_fn(new), float)
-            fits = fitness(lams, accs, self.w1, self.w2).tolist()
+            fits = fitness(lams, accs, self.w1).tolist()
             accs = [None] * len(new) if accs is None else accs.tolist()
             for mask, lam, acc, fit in zip(new, lams.tolist(), accs, fits):
                 self._memo[mask] = EnsembleCandidate(
@@ -162,7 +155,6 @@ def build_scorer(
     corpus: Corpus,
     records: Sequence[EpisodeRecord],
     w1: float = 0.6,
-    w2: float = 0.4,
     tau: float = 0.5,
 ) -> CandidateScorer:
     """Scorer for the corpus's pool on ``records``, episodes of ``corpus``.
@@ -174,10 +166,10 @@ def build_scorer(
     ``tau``) and have no accuracy, so fitness is the diversity alone.
     """
     if corpus.records and corpus.records[0].task.kind == "gq":
-        return CandidateScorer(failure_matrix(records, corpus.model_ids, tau), None, w1, w2)
+        return CandidateScorer(failure_matrix(records, corpus.model_ids, tau), None, w1)
     table = VoteTable(records, corpus.model_ids)
     failures = FailureMatrix(table.failed, [rec.id for rec in records], table.model_ids)
-    return CandidateScorer(failures, table.mask_accuracies, w1, w2)
+    return CandidateScorer(failures, table.mask_accuracies, w1)
 
 
 def brute_force_prune(scorer: CandidateScorer, k: int = 1) -> list[EnsembleCandidate]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -31,7 +32,7 @@ class TestPipeline:
     def test_full_pipeline_exit_zero(self, tmp_path, pool_corpus, capsys):
         out = tmp_path / "run"
         assert run("prune", "--corpus", pool_corpus, "--out", out,
-                   "--topk", "5", "--w1", "0.6", "--w2", "0.4", "--seed", "3") == 0
+                   "--topk", "5", "--w1", "0.6", "--seed", "3") == 0
         assert (out / "candidates.csv").exists()
         ensemble = json.loads((out / "ensemble.json").read_text())
         assert len(ensemble["members"]) >= 2
@@ -147,7 +148,7 @@ class TestErrors:
         tiny = tmp_path / "tiny.jsonl"
         save_corpus(correlated_pool(3, 3, n_clones=2, seed=0), tiny)
         assert run("prune", "--corpus", tiny, "--out", tmp_path / "o", "--train-frac", "0.1",
-                   "--val-frac", "0.0", "--test-frac", "0.9") == 2
+                   "--val-frac", "0.0") == 2
         assert "empty" in capsys.readouterr().err
         assert not (tmp_path / "o" / "candidates.csv").exists()
 
@@ -201,8 +202,7 @@ class TestErrors:
         capsys.readouterr()
         for flags, named in [(["--seed", "4"], "--seed"),
                              (["--seed", "3", "--k-passes", "2"], "--k-passes"),
-                             (["--seed", "3", "--val-frac", "0.1", "--test-frac", "0.2"],
-                              "--val-frac")]:
+                             (["--seed", "3", "--val-frac", "0.1"], "--val-frac")]:
             assert run("evaluate", "--corpus", pool_corpus, "--out", out, *flags) == 2
             assert named in capsys.readouterr().err
         assert not (out / "report.json").exists()
@@ -213,7 +213,7 @@ class TestErrors:
         save_corpus(oeq_pool(3, 40, seed=0), corpus)
         out = tmp_path / "run"
         common = ["--corpus", corpus, "--out", out,
-                  "--train-frac", "0.85", "--val-frac", "0.15", "--test-frac", "0.0"]
+                  "--train-frac", "0.85", "--val-frac", "0.15"]
         assert run("prune", *common) == 0
         assert run("train-weighted", *common, "--k-passes", "5", "--epochs", "3") == 0
         capsys.readouterr()
@@ -350,12 +350,12 @@ class TestErrors:
         (["diversity-report", "--seed", "-1"], "--seed"),
         (["summarize-prep", "--seed", "-1"], "--seed"),
         (["prune", "--w1", "nan"], "--w1"),
-        (["prune", "--w2", "-0.5"], "--w2"),
+        (["prune", "--w1", "-0.5"], "--w1"),
         (["diversity-report", "--w1", "1.5"], "--w1"),
-        (["diversity-report", "--w2", "inf"], "--w2"),
+        (["diversity-report", "--w1", "inf"], "--w1"),
         (["prune", "--train-frac", "nan"], "--train-frac"),
         (["train-weighted", "--val-frac", "-0.1"], "--val-frac"),
-        (["evaluate", "--test-frac", "2"], "--test-frac"),
+        (["evaluate", "--val-frac", "2"], "--val-frac"),
         (["train-weighted", "--learning-rate", "-1"], "--learning-rate"),
         (["train-weighted", "--learning-rate", "0"], "--learning-rate"),
         (["train-weighted", "--learning-rate", "nan"], "--learning-rate"),
@@ -390,7 +390,7 @@ class TestErrors:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, pool_corpus):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"topk": 3, "seed": 9, "w1": 0.5, "w2": 0.5}))
+        config.write_text(json.dumps({"topk": 3, "seed": 9, "w1": 0.5}))
         out = tmp_path / "cfg"
         assert run("--config", config, "prune", "--corpus", pool_corpus,
                    "--out", out, "--seed", "1") == 0
@@ -400,7 +400,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("equals_form", [False, True])
     def test_config_weights_apply_in_both_forms(self, tmp_path, pool_corpus, equals_form):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1}))
+        config.write_text(json.dumps({"w1": 0.9}))
         flag = [f"--config={config}"] if equals_form else ["--config", config]
         out = tmp_path / "cfg"
         assert run(*flag, "prune", "--corpus", pool_corpus, "--out", out) == 0
@@ -467,8 +467,7 @@ class TestConfigFile:
         assert not (out / "fusion_params.json").exists()
 
 
-@pytest.mark.parametrize("fractions", [[], ["--train-frac", "0.85", "--val-frac", "0",
-                                            "--test-frac", "0.15"]])
+@pytest.mark.parametrize("fractions", [[], ["--train-frac", "0.85", "--val-frac", "0"]])
 def test_train_weighted_builds_each_episode_row_once(tmp_path, monkeypatch, fractions):
     # 850 episodes train and validate: 700 + 150 by default, 850 + 0 without a val part.
     path = tmp_path / "oeq.jsonl"
@@ -492,7 +491,7 @@ def test_train_weighted_builds_each_episode_row_once(tmp_path, monkeypatch, frac
 def test_train_weighted_without_val_episodes_reports_no_val_accuracy(tmp_path, caplog):
     path = tmp_path / "pool.jsonl"
     save_corpus(correlated_pool(4, 200), path)
-    fractions = ["--train-frac", "0.8", "--val-frac", "0", "--test-frac", "0.2"]
+    fractions = ["--train-frac", "0.8", "--val-frac", "0"]
     out = tmp_path / "run"
     assert run("prune", "--corpus", path, "--out", out, *fractions) == 0
     with caplog.at_level("INFO"):
@@ -503,6 +502,80 @@ def test_train_weighted_without_val_episodes_reports_no_val_accuracy(tmp_path, c
     assert report["val_accuracy"] is None
     assert "no val episodes" in caplog.text
     assert run("evaluate", "--corpus", path, "--out", out, *fractions) == 0
+
+
+class TestDerivedSettings:
+    """The accuracy weight is 1 - --w1 and the test part is what --train-frac
+    and --val-frac leave, so neither is asked for."""
+
+    def test_prune_weighs_accuracy_by_one_minus_w1(self, tmp_path, pool_corpus):
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", pool_corpus, "--out", out, "--w1", "0.7") == 0
+        with open(out / "candidates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 57
+        for row in rows:
+            expected = 0.7 * float(row["lambda"]) + 0.3 * float(row["val_accuracy"])
+            assert float(row["fitness"]) == pytest.approx(expected, abs=1e-6)
+
+    def test_prune_without_a_val_part(self, tmp_path, pool_corpus):
+        assert run("prune", "--corpus", pool_corpus, "--out", tmp_path / "run",
+                   "--val-frac", "0") == 0
+
+    def test_train_and_evaluate_with_a_larger_train_part(self, tmp_path, pool_corpus):
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", pool_corpus, "--out", out) == 0
+        assert run("train-weighted", "--corpus", pool_corpus, "--out", out,
+                   "--epochs", "3", "--train-frac", "0.8") == 0
+        assert "test_frac" not in json.loads((out / "train_report.json").read_text())
+        assert run("evaluate", "--corpus", pool_corpus, "--out", out, "--train-frac", "0.8") == 0
+        assert json.loads((out / "report.json").read_text())["n_episodes"] == 10
+
+    def test_a_train_report_that_still_names_test_frac_evaluates(self, tmp_path, pool_corpus):
+        out = tmp_path / "run"
+        assert run("prune", "--corpus", pool_corpus, "--out", out) == 0
+        assert run("train-weighted", "--corpus", pool_corpus, "--out", out, "--epochs", "3") == 0
+        path = out / "train_report.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "test_frac": 0.15}))
+        assert run("evaluate", "--corpus", pool_corpus, "--out", out) == 0
+
+    @pytest.mark.parametrize("stage", ["prune", "train-weighted", "evaluate",
+                                       "diversity-report"])
+    def test_fractions_over_one_are_refused_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                                       stage):
+        missing = tmp_path / "missing.jsonl"
+        assert run(stage, "--corpus", missing, "--out", tmp_path / "o",
+                   "--train-frac", "0.9", "--val-frac", "0.2") == 2
+        err = capsys.readouterr().err
+        assert "--train-frac 0.9 and --val-frac 0.2" in err and str(missing) not in err
+
+    def test_a_float_remainder_leaves_an_empty_test_part(self, tmp_path, pool_corpus, capsys):
+        out = tmp_path / "run"
+        fractions = ["--train-frac", "0.8", "--val-frac", "0.2"]  # 1 - 0.8 - 0.2 < 0
+        assert run("prune", "--corpus", pool_corpus, "--out", out, *fractions) == 0
+        assert run("train-weighted", "--corpus", pool_corpus, "--out", out,
+                   "--epochs", "2", *fractions) == 0
+        capsys.readouterr()
+        for argv in (["evaluate"], ["diversity-report", "--split", "test"]):
+            assert run(*argv, "--corpus", pool_corpus, "--out", out, *fractions) == 2
+            err = capsys.readouterr().err
+            assert "the test split is empty" in err and "lower --train-frac or --val-frac" in err
+
+    @pytest.mark.parametrize("argv", [["prune", "--w2", "0.4"],
+                                      ["diversity-report", "--w2", "0.4"],
+                                      ["evaluate", "--test-frac", "0.15"]])
+    def test_the_removed_flags_are_unknown(self, tmp_path, pool_corpus, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--corpus", pool_corpus, "--out", tmp_path / "o")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("key", ["w2", "test_frac"])
+    def test_the_removed_config_keys_are_unknown(self, tmp_path, pool_corpus, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 0.4}))
+        assert run("--config", config, "prune", "--corpus", pool_corpus,
+                   "--out", tmp_path / "o") == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_harvested_corpus_round_trips_through_cli_artifacts(tmp_path):
@@ -762,7 +835,7 @@ _ARTIFACT_PATHS = [
     ("ensemble.json", ("size",)),
     ("train_report.json", ()), ("train_report.json", ("members",)),
     ("train_report.json", ("members", 0)), ("train_report.json", ("seed",)),
-    ("train_report.json", ("k_passes",)), ("train_report.json", ("test_frac",)),
+    ("train_report.json", ("k_passes",)), ("train_report.json", ("val_frac",)),
     ("fusion_params.json", ()), ("fusion_params.json", ("format_version",)),
     ("fusion_params.json", ("dims",)), ("fusion_params.json", ("dims", 0)),
     ("fusion_params.json", ("dims", -1)), ("fusion_params.json", ("layers",)),

@@ -59,22 +59,20 @@ class TestEnumeration:
 
 class TestFitness:
     def test_paper_default_weights(self):
-        assert fitness(0.5, 0.7, 0.6, 0.4) == pytest.approx(0.58)
+        assert fitness(0.5, 0.7, 0.6) == pytest.approx(0.58)
 
     def test_degenerate_weight(self):
-        assert fitness(0.37, 0.9, 1.0, 0.0) == pytest.approx(0.37)
+        assert fitness(0.37, 0.9, 1.0) == pytest.approx(0.37)
 
     def test_fixed_point(self):
-        assert fitness(0.42, 0.42, 0.3, 0.7) == pytest.approx(0.42)
+        assert fitness(0.42, 0.42, 0.3) == pytest.approx(0.42)
 
     def test_gq_path_uses_diversity_alone(self):
-        assert fitness(0.8, None, 0.6, 0.4) == 0.8
+        assert fitness(0.8, None, 0.6) == 0.8
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
-            fitness(0.5, 0.5, 0.7, 0.4)
-        with pytest.raises(ValueError):
-            fitness(0.5, 0.5, 1.2, -0.2)
+            fitness(0.5, 0.5, 1.2)
 
 
 class TestCandidateValAccuracy:
@@ -276,9 +274,9 @@ class TestSearch:
         failures = random_failures(7, seed=6)
         rng = np.random.default_rng(7)
         accs = {mask: float(rng.random()) for mask in enumerate_candidates(7)}
-        scorer = CandidateScorer(failures, lambda masks: [accs[m] for m in masks], 0.3, 0.7)
+        scorer = CandidateScorer(failures, lambda masks: [accs[m] for m in masks], 0.3)
         for c in scorer.score_masks(list(enumerate_candidates(7))):
-            assert c.fitness == fitness(c.focal_diversity, c.val_accuracy, 0.3, 0.7)
+            assert c.fitness == fitness(c.focal_diversity, c.val_accuracy, 0.3)
 
 
 class TestReports:
