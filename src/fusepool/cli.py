@@ -437,6 +437,7 @@ def cmd_summarize_prep(args) -> int:
         members = _load_ensemble(out, corpus)["members"]
     path = out / "summary_inputs.jsonl"
     n_written = 0
+    skipped = []  # ids of the records no member has text for
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
             texts = []
@@ -447,7 +448,7 @@ def cmd_summarize_prep(args) -> int:
                     texts.append(text)
                     used.append(m)
             if not texts:
-                log.warning("record %s: no usable candidate text; skipped", rec.id)
+                skipped.append(rec.id)
                 continue
             try:
                 serialized = serialize_inputs(rec.prompt, texts, max_tokens=args.budget)
@@ -466,6 +467,14 @@ def cmd_summarize_prep(args) -> int:
             }, ensure_ascii=False))
             fh.write("\n")
             n_written += 1
+    if not n_written:
+        path.unlink()  # so does a refusal here
+        raise ValueError(f"no record has candidate text from {', '.join(members)}: "
+                         "summarize-prep needs harvested passes (an ok pass with text), "
+                         "and provided vectors carry no text")
+    if skipped:
+        log.warning("skipped %d of %d records, which have no usable candidate text; "
+                    "the first is %s", len(skipped), len(corpus.records), skipped[0])
     log.info("serialized %d records -> %s", n_written, path)
     return 0
 

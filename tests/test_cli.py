@@ -28,6 +28,14 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _with_text(corpus: Corpus) -> Corpus:
+    """``corpus`` with one ok pass of text per model and record, as a harvest
+    leaves it, so summarize-prep has candidates; provided vectors still vote."""
+    for rec in corpus.records:
+        rec.passes = {m: [RawPass(raw_text=f"{m} picks one")] for m in corpus.model_ids}
+    return corpus
+
+
 class TestPipeline:
     def test_full_pipeline_exit_zero(self, tmp_path, pool_corpus, capsys):
         out = tmp_path / "run"
@@ -64,7 +72,7 @@ class TestPipeline:
         rows = (out / "candidates.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 247
 
-    @pytest.mark.parametrize("pool, k", [(lambda: correlated_pool(6, 200, seed=0), 1),
+    @pytest.mark.parametrize("pool, k", [(lambda: _with_text(correlated_pool(6, 200, seed=0)), 1),
                                          (lambda: oeq_pool(4, 300, k=5), 5)],
                              ids=["mcq", "oeq"])
     def test_pipeline_reruns_byte_for_byte(self, tmp_path, pool, k):
@@ -576,6 +584,34 @@ class TestDerivedSettings:
         assert run("--config", config, "prune", "--corpus", pool_corpus,
                    "--out", tmp_path / "o") == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_summarize_prep_refuses_a_corpus_without_candidate_text(tmp_path, capsys):
+    corpus = tmp_path / "pool.jsonl"
+    save_corpus(correlated_pool(4, 20), corpus)  # provided vectors only
+    out = tmp_path / "prep"
+    assert run("summarize-prep", "--corpus", corpus, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "no record has candidate text from clone-0, clone-1, clone-2, clone-3" in err
+    assert "needs harvested passes" in err and "provided vectors carry no text" in err
+    assert not (out / "summary_inputs.jsonl").exists()
+
+
+def test_summarize_prep_skips_a_record_without_text_with_one_warning(tmp_path, caplog):
+    pool = oeq_pool(2, 3, k=2, seed=0)
+    silent = pool.records[1]
+    silent.passes = {m: [RawPass(raw_text="", status="missing")] for m in pool.model_ids}
+    corpus = tmp_path / "oeq.jsonl"
+    save_corpus(pool, corpus)
+    out = tmp_path / "prep"
+    with caplog.at_level("WARNING"):
+        assert run("summarize-prep", "--corpus", corpus, "--out", out) == 0
+    lines = (out / "summary_inputs.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [
+        pool.records[0].id, pool.records[2].id]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"skipped 1 of 3 records, which have no usable candidate text; "
+                        f"the first is {silent.id}"]
 
 
 def test_harvested_corpus_round_trips_through_cli_artifacts(tmp_path):
