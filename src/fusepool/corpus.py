@@ -459,6 +459,14 @@ def _check_block(vectors: list, m: int, pending: list, indexes: dict) -> None:
         start += len(keys)
 
 
+def _line_text(line: bytes) -> str:
+    """A corpus line as stripped text; SchemaError if it is not UTF-8."""
+    try:
+        return line.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 (byte {exc.start + 1} of the line: {exc.reason})") from None
+
+
 def load_corpus(path: str) -> Corpus:
     """Load and validate a JSONL corpus; names the first offending line on error.
 
@@ -484,12 +492,12 @@ def load_corpus(path: str) -> Corpus:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = _line_text(line)
+                    if not line:
+                        continue
                     rec = _record_from_line(line, tasks)
                 except SchemaError as exc:
                     check_block()  # a bad vector on an earlier line comes first

@@ -186,6 +186,58 @@ def test_a_bad_vector_is_named_when_the_corpus_comes_through_a_pipe(tmp_path):
                               "sums to 1.500000, expected 1")
 
 
+def _bytes_with_a_bad_byte_on_line_4(rows) -> bytes:
+    lines = [json.dumps(r).encode() for r in rows]
+    lines[3] = lines[3].replace(b'"q3"', b'"q\xff"')  # the prompt's byte 0xff
+    return b"".join(line + b"\n" for line in lines)
+
+
+_NOT_UTF8 = "line 4: not UTF-8 (byte {} of the line: invalid start byte)"
+
+
+def test_a_line_that_is_not_utf8_is_named(tmp_path):
+    rows = base_rows(6, 3)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(_bytes_with_a_bad_byte_on_line_4(rows))
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path)
+    assert str(err.value) == _NOT_UTF8.format(json.dumps(rows[3]).index('"q3"') + 3)
+
+
+def test_a_line_that_is_not_utf8_is_named_through_a_pipe(tmp_path):
+    rows = base_rows(6, 3)
+    fifo = tmp_path / "c.jsonl"
+    os.mkfifo(fifo)
+    data = _bytes_with_a_bad_byte_on_line_4(rows)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(SchemaError) as err:
+            load_corpus(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert str(err.value) == _NOT_UTF8.format(json.dumps(rows[3]).index('"q3"') + 3)
+
+
+def test_a_bad_vector_before_a_line_that_is_not_utf8_is_named_first(tmp_path):
+    rows = base_rows(6, 3)
+    rows[1]["provided_choice_probs"]["m0"] = [0.5, 0.5, 0.5]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(_bytes_with_a_bad_byte_on_line_4(rows))
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path)
+    assert str(err.value) == ("line 2: record r1: provided_choice_probs[m0]: "
+                              "sums to 1.500000, expected 1")
+
+
+def test_crlf_line_ends_load_as_lf_ones(tmp_path):
+    rows = base_rows(5, 3)
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes(b"".join(json.dumps(r).encode() + b"\n" for r in rows))
+    crlf.write_bytes(b"".join(json.dumps(r).encode() + b"\r\n" for r in rows) + b"\r\n")
+    assert load_corpus(crlf) == load_corpus(lf)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("valid", [True, False])
 def test_load_restores_the_collector_state(tmp_path, enabled, valid):
