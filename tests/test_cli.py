@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fusepool
 from fusepool import evaluation, fusion
-from fusepool.cli import main
+from fusepool.cli import build_parser, main
 from fusepool.corpus import Corpus, EpisodeRecord, RawPass, TaskKind, load_corpus, save_corpus
 from fusepool.synthetic import correlated_pool, oeq_pool, separable_confidences
 
@@ -612,6 +613,40 @@ def test_summarize_prep_skips_a_record_without_text_with_one_warning(tmp_path, c
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert warnings == [f"skipped 1 of 3 records, which have no usable candidate text; "
                         f"the first is {silent.id}"]
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+_FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
+
+
+def _stage_flags() -> dict[str, set[str]]:
+    """Each stage's declared flags, and under "" every flag any stage declares."""
+    parser = build_parser()
+    stages = {name: set(sub._option_string_actions)  # noqa: SLF001
+              for group in parser._subparsers._group_actions  # noqa: SLF001
+              for name, sub in group.choices.items()}
+    stages[""] = set().union(*stages.values(), parser._option_string_actions)  # noqa: SLF001
+    return stages
+
+
+def test_readme_inline_code_names_only_declared_flags():
+    declared = _stage_flags()[""]
+    spans = re.findall(r"`([^`]+)`", _FENCE.sub("", _README.read_text(encoding="utf-8")))
+    named = {flag for span in spans for flag in _FLAG.findall(span)}
+    assert "--w1" in named and "--config" in named
+    assert named - declared == set()
+
+
+def test_readme_commands_pass_only_flags_their_stage_declares():
+    stages = _stage_flags()
+    commands = [line for block in _FENCE.findall(_README.read_text(encoding="utf-8"))
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fusepool ")]
+    assert {line.split()[1] for line in commands} >= {"prune", "evaluate", "harvest"}
+    for line in commands:
+        stage = line.split()[1]
+        assert set(_FLAG.findall(line)) - stages[stage] == set(), line
 
 
 def test_harvested_corpus_round_trips_through_cli_artifacts(tmp_path):
