@@ -436,7 +436,6 @@ def cmd_summarize_prep(args) -> int:
     if (out / "ensemble.json").exists():
         members = _load_ensemble(out, corpus)["members"]
     path = out / "summary_inputs.jsonl"
-    n_written = 0
     skipped = []  # ids of the records no member has text for
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
@@ -466,9 +465,9 @@ def cmd_summarize_prep(args) -> int:
                 "models": used,
             }, ensure_ascii=False))
             fh.write("\n")
-            n_written += 1
+    n_written = len(corpus.records) - len(skipped)
     if not n_written:
-        path.unlink()  # so does a refusal here
+        path.unlink()  # a refusal leaves no file
         raise ValueError(f"no record has candidate text from {', '.join(members)}: "
                          "summarize-prep needs harvested passes (an ok pass with text), "
                          "and provided vectors carry no text")
